@@ -41,6 +41,20 @@ MODEL_PRESETS = (
 CLUSTER_PRESETS = {"v100x8": 1, "v100x16": 2, "v100x32": 4}
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (a bad value
+    exits 2 with a usage message instead of a traceback)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_partition(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("partition", help="auto-partition one model")
     p.add_argument("--model", choices=("bert", "resnet", "gpt"), default="bert")
@@ -49,7 +63,7 @@ def _add_partition(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--depth", type=int, default=50, help="ResNet depth")
     p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
     p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
     p.add_argument("--blocks", type=int, default=32, help="block count k")
     p.add_argument("--save", type=str, default=None,
@@ -67,7 +81,7 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--depth", type=int, default=50, help="ResNet depth")
     p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
     p.add_argument("--nodes", type=int, default=4)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
     p.add_argument("--blocks", type=int, default=32, help="block count k")
     p.add_argument("--cache-dir", type=str, default=None,
@@ -137,7 +151,7 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--cluster", choices=sorted(CLUSTER_PRESETS),
                    default="v100x32",
                    help="testbed preset (number of 8-V100 nodes)")
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
     p.add_argument("--blocks", type=int, default=32, help="block count k")
     p.add_argument("--out", type=str, default="trace.json",
@@ -267,7 +281,7 @@ def _add_serve_sim(sub: argparse._SubParsersAction) -> None:
                    help="continuous-batching wait bound per batch")
     p.add_argument("--max-replicas", type=int, default=8,
                    help="autoscaler sweep ceiling")
-    p.add_argument("--batch-size", type=int, default=32,
+    p.add_argument("--batch-size", type=_positive_int, default=32,
                    help="global batch the planner partitions for")
     p.add_argument("--workload-trace", type=str, default=None,
                    help="replay this arrival-trace file instead of the "
@@ -388,16 +402,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-#: gpt preset name -> GPTConfig keyword arguments
-GPT_PRESETS = {
-    "gpt-tiny": dict(hidden_size=256, num_layers=4, num_heads=4,
-                     seq_len=256, vocab_size=8192),
-    "gpt-small": dict(),  # GPT-2 small: GPTConfig defaults
-    "gpt-medium": dict(hidden_size=1024, num_layers=24, num_heads=16),
-}
-
-
 def _build_graph(args: argparse.Namespace):
+    # the service's preset table, imported here so the CLI's start-up
+    # does not pay for the daemon modules
+    from repro.service.protocol import GPT_PRESETS
+
     if args.model == "bert-base":
         return build_bert(BertConfig(hidden_size=768, num_layers=12,
                                      num_heads=12))
@@ -409,8 +418,10 @@ def _build_graph(args: argparse.Namespace):
     if args.model in GPT_PRESETS:
         return build_gpt(GPTConfig(**GPT_PRESETS[args.model]))
     if args.model == "gpt":
+        # heads must divide hidden: 64-wide heads, as the service derives
         return build_gpt(GPTConfig(hidden_size=args.hidden,
-                                   num_layers=args.layers))
+                                   num_layers=args.layers,
+                                   num_heads=max(1, args.hidden // 64)))
     return build_resnet(ResNetConfig(depth=args.depth,
                                      width_factor=args.width_factor))
 

@@ -192,11 +192,12 @@ class BandedProfile:
     A stage profile depends on the replica count ``r`` only through the
     per-replica microbatch ``bs = BS // (R * MB * r)``, so the replica
     axis collapses to one plane per *distinct* ``bs`` -- and within one
-    DP call every reachable stage spans at most ``k - S + 1`` blocks, so
-    each plane needs only that diagonal band.  Entry ``[p, lo, j]``
-    profiles blocks ``(lo, lo + 1 + j]`` at microbatch ``bs_list[p]``;
-    entries past the block count hold +inf.  Peak memory is
-    ``O(P * k * band)`` instead of the dense ``O(k^2 * D)``.
+    DP call every reachable stage spans at most ``k - S + 1`` blocks and
+    every memory-feasible one fewer than :meth:`DPContext.band_span_cap`
+    blocks, so each plane needs only that diagonal band.  Entry
+    ``[p, lo, j]`` profiles blocks ``(lo, lo + 1 + j]`` at microbatch
+    ``bs_list[p]``; entries past the block count hold +inf.  Peak memory
+    is ``O(P * k * band)`` instead of the dense ``O(k^2 * D)``.
     """
 
     span: int                 # widest stored stage span (band width)
@@ -303,6 +304,8 @@ class DPContext:
         self._hetero_cache: Dict[
             Tuple[int, int], Tuple[np.ndarray, np.ndarray]
         ] = {}
+        #: memoized :meth:`band_span_cap` (depends on usable_memory)
+        self._span_cap: Optional[int] = None
         self.dp_calls = 0
         self.states_evaluated = 0
 
@@ -356,6 +359,7 @@ class DPContext:
             if budget != self.memory_budget:
                 self.memory_budget = budget
                 self._dp_tensor_cache.clear()
+                self._span_cap = None
 
     def rebind(
         self,
@@ -371,8 +375,8 @@ class DPContext:
         p2p affine -- exactly the facets the artifact store keys the
         ``dp_context`` artifact on -- so a delta replan that changes the
         cluster shape, the capacity or the memory budget keeps them all.
-        The derived DP masks additionally depend on
-        :attr:`usable_memory` (their OVER plane), so they are dropped
+        The derived DP masks and the band-width cap additionally depend
+        on :attr:`usable_memory`, so they are dropped
         only when the effective capacity/budget actually changed; the
         per-run counters are reset so the new run's diagnostics start
         from zero.
@@ -388,6 +392,7 @@ class DPContext:
                 self.memory_budget = memory_budget
             if self.usable_memory != old_usable:
                 self._dp_tensor_cache.clear()
+                self._span_cap = None
             self.dp_calls = 0
             self.states_evaluated = 0
         return self
@@ -875,6 +880,32 @@ class DPContext:
             or type(self)._profile_planes is not DPContext._profile_planes
         )
 
+    def band_span_cap(self) -> int:
+        """Band width (in blocks) covering every stage that can fit
+        device memory.
+
+        ``PARAMS[lo, hi]`` never decreases as ``hi`` grows and a stage's
+        memory is its static (parameter) bytes plus non-negative
+        activation terms, so once ``static_bytes(PARAMS[lo, hi])``
+        exceeds :attr:`usable_memory` every wider span from ``lo`` is
+        over memory too -- for every microbatch, microbatch count and
+        replica count.  Returns one more than the widest span passing
+        that parameter-only test (so every band row stores its first
+        over-memory span), at most ``k``.  Subclasses with their own
+        ``_profile_planes`` get ``k``: their memory model may differ.
+        Memoized until :attr:`usable_memory` changes.
+        """
+        with self._lock:
+            if self._span_cap is None:
+                cap = self.k
+                if type(self)._profile_planes is DPContext._profile_planes:
+                    _, _, PARAMS = self._range_matrices()
+                    static = self.profiler.memory_model.static_bytes(PARAMS)
+                    fits = np.triu(static <= self.usable_memory, 1)
+                    cap = min(cap, int(fits.sum(axis=1).max()) + 1)
+                self._span_cap = cap
+            return self._span_cap
+
     def profile_bands(
         self, D: int, R: int, MB: int, checkpointing: bool, span: int
     ) -> BandedProfile:
@@ -1036,14 +1067,63 @@ def _replica_groups(plane_of_r: np.ndarray, max_r: int) -> List[Tuple[int, int, 
     return groups
 
 
+@dataclass
+class _PlaneWindow:
+    """One band plane laid out for the windowed transition of one DP
+    call (fixed memory cap ``M`` and stage-span bound ``nb``).
+
+    ``width`` is ``W``: the widest span that any row fits under ``M``,
+    capped at ``nb``; every wider span is over memory (or unreachable),
+    so a column ``b`` only needs the ``W`` predecessors ``b' = b - W ..
+    b - 1``.  ``tf`` / ``tb`` hold band columns ``0 .. W - 1`` below
+    ``W`` rows of INF padding (``tf`` poisoned with INF where the stage
+    is over memory).  The memory-failure mask comes from ``over_from``
+    when over-memory spans form a suffix of every row -- ``over_from[b']``
+    is the smallest ``b`` whose stage ``(b', b]`` is over memory -- else
+    from the padded per-cell ``over`` mask.
+    """
+
+    width: int
+    tf: np.ndarray
+    tb: np.ndarray
+    over_from: Optional[np.ndarray]
+    over: Optional[np.ndarray]
+
+
+def _plane_window(
+    bands: BandedProfile, p: int, M: float, nb: int
+) -> _PlaneWindow:
+    over = bands.mem[p] > M   # (k, span); entries past the block count: +inf
+    fit_cols = np.flatnonzero(~over.all(axis=0))
+    W = min(int(fit_cols[-1]) + 1 if fit_cols.size else 0, nb)
+    k, span = over.shape
+    tfp = np.full((k + W, W), np.inf)
+    tfp[W:] = np.where(over[:, :W], np.inf, bands.tf[p, :, :W])
+    tbp = np.full((k + W, W), np.inf)
+    tbp[W:] = bands.tb[p, :, :W]
+    if not (over[:, :-1] & ~over[:, 1:]).any():
+        # spans past the stored width are over memory too (see
+        # DPContext.band_span_cap) or unreachable in this call
+        first = np.where(over.any(axis=1), over.argmax(axis=1), span)
+        return _PlaneWindow(W, tfp, tbp, np.arange(1, k + 1) + first, None)
+    # memory that is not monotone in the span (a subclass's own
+    # ``_profile_planes``) may fit again after an over-memory span:
+    # keep the exact per-cell mask
+    overp = np.zeros((k + W, W), dtype=bool)
+    overp[W:] = over[:, :W]
+    return _PlaneWindow(W, tfp, tbp, None, overp)
+
+
 def _banded_stage_numpy(
     bands: BandedProfile,
+    windows: Dict[int, _PlaneWindow],
     prev_ok: np.ndarray,
     ptf: np.ndarray,
     ptb: np.ndarray,
     s: int,
     b_hi: int,
     d_hi: int,
+    nb: int,
     M: float,
     best: np.ndarray,
     best_tf: np.ndarray,
@@ -1052,59 +1132,58 @@ def _banded_stage_numpy(
     best_dp: np.ndarray,
     memf: np.ndarray,
     bsf: np.ndarray,
-    slab_cache: Optional[Dict[int, Tuple]] = None,
 ) -> None:
     """One stage count of the banded DP engine.
 
-    Mirrors the full-slab engine's per-``d'`` column reduction, but the
-    per-stage slab lives in band coordinates -- ``(b', b)`` restricted to
-    the reachable rows/cols, which for stage ``s`` of an ``S``-stage DP
-    is exactly a ``(k - S + 1)``-square -- and the replica axis is
-    reduced one *bs-group* at a time: ``r`` values sharing a per-replica
-    microbatch have identical candidate values, so each group's argmin is
-    computed once and broadcast across the group's ``d`` range.  The
-    update rule, tie-breaks and failure-mask accumulation are the exact
-    expressions of the dense engine, so every written cell is
-    bit-identical.
+    Mirrors the full-slab engine's per-``d'`` column reduction in band
+    coordinates, with the replica axis reduced one *bs-group* at a
+    time: ``r`` values sharing a per-replica microbatch have identical
+    candidate values, so each group's argmin is computed once and
+    broadcast across the group's ``d`` range.  The update rule,
+    tie-breaks and failure-mask accumulation are the exact expressions
+    of the dense engine, so every written cell is bit-identical.
 
-    The per-stage ``(b', b)`` slab of plane ``p`` is a *diagonal shear*
-    of the band matrix: ``slab[i, j] = band[s - 1 + i, j - i]``.  Each
-    plane is materialized once per DP call (``slab_cache``, shared
-    across the ``s`` loop since ``nb = k - S + 1`` is constant) as the
-    band padded on the right with ``nb`` INF columns; every stage's
-    slab is then a zero-copy strided view whose out-of-band cells
-    (``j < i``) land in the neighbouring row's INF padding.
-    Over-memory and out-of-band infeasibility are poisoned into the
-    padded TF as INF, so the candidate value ``max(prev, TF) +
-    max(prev, TB)`` is INF exactly where the dense engine's masked
-    ``np.where(ok, ..., INF)`` is, with no mask passes at all.
+    Column ``b`` (``b = s .. b_hi``, ``nb = k - S + 1`` of them) reduces
+    only the window ``b' = b - W + j``, ``j = 0 .. W - 1``, of plane
+    ``p`` (``windows[p]``, built once per DP call): spans of ``W`` or
+    more blocks are over memory, so no finite candidate lies outside
+    it.  Ascending ``j`` is ascending ``b'``, so ``argmin``'s first
+    minimum is still the smallest ``b'``.  The window is a zero-copy
+    strided view, ``win[c, j] = padded[s + c + j, W - 1 - j]``, of the
+    plane's padded band, and the previous stage's column is read the
+    same way out of one INF-padded vector, so the candidate value
+    ``max(prev, TF) + max(prev, TB)`` is INF exactly where the dense
+    engine's masked ``np.where(ok, ..., INF)`` is.  Only the columns
+    whose window holds a feasible ``b'`` of this ``d'`` column are
+    reduced.
     """
     INF = np.inf
     bsl = slice(s, b_hi + 1)
     psl = slice(s - 1, b_hi)
-    nb = b_hi - s + 1        # = k - S + 1: cols b = s .. b_hi
-    col_ok = prev_ok.any(axis=0)
     cols = np.arange(nb)
+    bcol = cols + s                      # b of each column
     groups = _replica_groups(bands.plane_of_r, d_hi - (s - 1))
-    if slab_cache is None:
-        slab_cache = {}
-    views: Dict[int, Tuple] = {}
-    cand_tf = np.empty((nb, nb))
-    cand_tb = np.empty((nb, nb))
-    v = np.empty((nb, nb))
-    pcol_tf = np.empty((nb, 1))
+    wmax = min(bands.span, nb)
+    buf = np.empty((3, nb, wmax))
+    # previous-stage column at position nb + b'; INF (never wins) for
+    # b' outside [s - 1, b_hi) and wherever V[s - 1] is infeasible
+    pad_tf = np.full(nb + b_hi + 1, INF)
+    pad_tb = np.full(nb + b_hi + 1, INF)
+    pad_ok = np.zeros(nb + b_hi + 1, dtype=bool)
     as_strided = np.lib.stride_tricks.as_strided
+    e = pad_tf.strides[0]
+    views: Dict[int, Tuple] = {}
     for dp_ in range(s - 1, d_hi):
-        if not col_ok[dp_]:
-            continue
-        nd = d_hi - dp_
         pok = prev_ok[psl, dp_]
-        # column b has a valid (b', b) pair iff some b' <= b has pok
-        any_valid = np.logical_or.accumulate(pok)
-        # prev TF carries INF at infeasible rows so they never win; TB
-        # needs no poisoning (one INF operand already forces v to INF)
-        pcol_tf[:, 0] = np.where(pok, ptf[psl, dp_], INF)
-        pcol_tb = ptb[psl, dp_][:, None]
+        i0 = int(pok.argmax())
+        if not pok[i0]:
+            continue
+        first_pok = s - 1 + i0                       # feasible b' range
+        last_pok = b_hi - 1 - int(pok[::-1].argmax())
+        nd = d_hi - dp_
+        pad_tf[nb + s - 1: nb + b_hi] = np.where(pok, ptf[psl, dp_], INF)
+        pad_tb[nb + s - 1: nb + b_hi] = ptb[psl, dp_]
+        pad_ok[nb + s - 1: nb + b_hi] = pok
         for r1, r2, p in groups:
             if r1 > nd:
                 break
@@ -1112,69 +1191,73 @@ def _banded_stage_numpy(
             if p < 0:
                 # microbatch collapsed for this whole run of r: the dense
                 # engine's FIN plane is all-False there, so every valid
-                # transition records a bs failure
-                bsf[bsl, g] |= any_valid[:, None]
+                # transition (some pok b' < b) records a bs failure
+                bsf[first_pok + 1: b_hi + 1, g] = True
+                continue
+            win = windows.get(p)
+            if win is None:
+                win = windows[p] = _plane_window(bands, p, M, nb)
+            W = win.width
+            # over-memory transitions (pok b' < b) feed the d_min rule
+            if win.over is None:
+                thr = int(np.minimum.reduce(
+                    win.over_from[psl], where=pok, initial=b_hi + 1
+                ))
+                if thr <= b_hi:
+                    memf[thr: b_hi + 1, g] = True
+            else:
+                hit = bcol >= first_pok + W + 1   # spans wider than W
+                if W:
+                    ok_win = as_strided(pad_ok[nb - W + s:], (nb, W), (1, 1))
+                    o0, o1 = win.over.strides
+                    over_win = as_strided(
+                        win.over[s:, W - 1:], (nb, W), (o0, o0 - o1)
+                    )
+                    hit |= (ok_win & over_win).any(axis=1)
+                memf[bsl, g] |= hit[:, None]
+            if not W:
                 continue
             view = views.get(p)
             if view is None:
-                padded = slab_cache.get(p)
-                if padded is None:
-                    kk, span = bands.tf[p].shape
-                    over_full = bands.mem[p] > M  # (k, span)
-                    tfp = np.full((kk, span + nb), INF)
-                    if over_full.any():
-                        tfp[:, :span] = np.where(over_full, INF, bands.tf[p])
-                        row_over = over_full.any(axis=1)
-                        ovp = np.zeros((kk, span + nb), dtype=bool)
-                        ovp[:, :span] = over_full
-                    else:
-                        tfp[:, :span] = bands.tf[p]
-                        row_over = None
-                        ovp = None
-                    tbp = np.full((kk, span + nb), INF)
-                    tbp[:, :span] = bands.tb[p]
-                    padded = (tfp, tbp, ovp, row_over)
-                    slab_cache[p] = padded
-                tfp, tbp, ovp, row_over = padded
-                t0, t1 = tfp.strides
-                shear = (nb, nb), (t0 - t1, t1)
-                Ptf = as_strided(tfp[s - 1:], *shear)
-                Ptb = as_strided(tbp[s - 1:], *shear)
-                Pover = None
-                if row_over is not None and row_over[psl].any():
-                    b0, b1 = ovp.strides
-                    Pover = as_strided(ovp[s - 1:], (nb, nb), (b0 - b1, b1))
-                view = (Ptf, Ptb, Pover)
-                views[p] = view
-            Ptf, Ptb, Pover = view
-            # in-band entries are always finite (every span 1..k-S+1 is a
-            # real block range), so fin == in_band and valid & ~fin == 0:
-            # present-bs groups never contribute to bsf
-            if Pover is not None:
-                ovm_cols = (pok[:, None] & Pover).any(axis=0)
-                if ovm_cols.any():
-                    memf[bsl, g] |= ovm_cols[:, None]
-            np.maximum(pcol_tf, Ptf, out=cand_tf)
-            np.maximum(pcol_tb, Ptb, out=cand_tb)
-            np.add(cand_tf, cand_tb, out=v)
-            bp_idx = np.argmin(v, axis=0)     # (b,): smallest b' wins
-            vmin = v[bp_idx, cols]
-            if not np.isfinite(vmin).any():   # == the dense ok.any() skip
+                t0, t1 = win.tf.strides
+                band_win = (nb, W), (t0, t0 - t1)
+                prev = (nb, W), (e, e)
+                view = views[p] = (
+                    as_strided(pad_tf[nb - W + s:], *prev),
+                    as_strided(win.tf[s:, W - 1:], *band_win),
+                    as_strided(pad_tb[nb - W + s:], *prev),
+                    as_strided(win.tb[s:, W - 1:], *band_win),
+                    bcol - W,                    # b' at j = 0
+                )
+            # only columns b = first_pok + 1 .. last_pok + W have a
+            # feasible predecessor inside their window
+            c0 = first_pok + 1 - s
+            c1 = min(last_pok + W, b_hi) + 1 - s
+            Qtf, Ptf, Qtb, Ptb, b0 = (x[c0:c1] for x in view)
+            n = c1 - c0
+            ctf, ctb, v = buf[:, :n, :W]
+            np.maximum(Qtf, Ptf, out=ctf)
+            np.maximum(Qtb, Ptb, out=ctb)
+            np.add(ctf, ctb, out=v)
+            j_idx = v.argmin(axis=1)          # (b,): smallest b' wins
+            rows = cols[:n]
+            vmin = v[rows, j_idx]
+            if np.minimum.reduce(vmin) == INF:  # == the dense ok.any() skip
                 continue
-            bpg = bp_idx + (s - 1)
-            cur = best[bsl, g]
-            cur_bp = best_bp[bsl, g]
-            upd = (vmin[:, None] < cur) | (
-                (vmin[:, None] == cur) & (bpg[:, None] < cur_bp)
-            )
+            # all-INF columns point into the padding; clamping them to a
+            # real b' keeps INF == INF "ties" from rewriting empty cells
+            bpg = np.maximum(b0 + j_idx, s - 1)[:, None]
+            vcol = vmin[:, None]
+            cells = slice(c0 + s, c1 + s), g
+            cur = best[cells]
+            cur_bp = best_bp[cells]
+            upd = (vcol < cur) | ((vcol == cur) & (bpg < cur_bp))
             if upd.any():
-                ctf = cand_tf[bp_idx, cols]
-                ctb = cand_tb[bp_idx, cols]
-                best[bsl, g] = np.where(upd, vmin[:, None], cur)
-                best_tf[bsl, g] = np.where(upd, ctf[:, None], best_tf[bsl, g])
-                best_tb[bsl, g] = np.where(upd, ctb[:, None], best_tb[bsl, g])
-                best_bp[bsl, g] = np.where(upd, bpg[:, None], cur_bp)
-                best_dp[bsl, g] = np.where(upd, dp_, best_dp[bsl, g])
+                np.copyto(cur, vcol, where=upd)
+                np.copyto(best_tf[cells], ctf[rows, j_idx][:, None], where=upd)
+                np.copyto(best_tb[cells], ctb[rows, j_idx][:, None], where=upd)
+                np.copyto(cur_bp, bpg, where=upd)
+                np.copyto(best_dp[cells], dp_, where=upd)
 
 
 def form_stage_dp(
@@ -1225,12 +1308,15 @@ def form_stage_dp(
     cached profile tensors (``r = d - d'`` increases along the ``d``
     axis), so no gather is materialized; a running lexicographic
     ``(value, b', d')`` minimum reproduces the per-cell flat argmin
-    tie-break exactly.  Otherwise a per-``b`` row engine reduces
-    ``(b', d', d)`` slabs.  Both paths then *replay* the original cell
+    tie-break exactly.  Larger instances use the banded engine (see
+    :func:`_banded_stage_numpy`), or a per-``b`` row engine that reduces
+    ``(b', d', d)`` slabs.  Every path then *replays* the original cell
     ordering (b ascending, d descending) over the precomputed memory/bs
-    failure masks to apply the ``d_min`` rule, so visited-state counts,
-    pruning decisions and tie-breaks (first minimum in ``(b', d')``
-    row-major order) are identical to the per-cell loop.
+    failure masks to apply the ``d_min`` rule, as array operations, so
+    visited-state counts, pruning decisions and tie-breaks (first
+    minimum in ``(b', d')`` row-major order) are identical to the
+    per-cell loop.  When traced, banded calls also record the stored
+    ``band_span`` and the widest memory-feasible ``window``.
     """
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
@@ -1296,15 +1382,19 @@ def _form_stage_dp_body(
         LT = np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
     elif mode in ("banded", "kernel"):
         # within this DP call every reachable stage spans at most
-        # k - S + 1 blocks, so the band covers the whole search space
-        bands = ctx.profile_bands(D, R, MB, checkpointing, k - S + 1)
-        # padded shear slabs are shared across the whole s loop: nb =
-        # k - S + 1 and the memory budget are constant within one call
-        band_slabs: Dict[int, Tuple] = {}
+        # k - S + 1 blocks and every memory-feasible one fewer than
+        # band_span_cap() blocks (the kernel keeps the reachable band)
+        span = k - S + 1
         if mode == "kernel":
             from repro.partitioner._dp_kernels import banded_stage_kernel
 
             kernel = banded_stage_kernel
+        else:
+            span = min(span, ctx.band_span_cap())
+        bands = ctx.profile_bands(D, R, MB, checkpointing, span)
+        # per-plane windows are shared across the whole s loop: nb =
+        # k - S + 1 and the memory budget are constant within one call
+        windows: Dict[int, _PlaneWindow] = {}
     else:
         TF, TB, MEM = ctx.profile_tensors(D, R, MB, checkpointing)
 
@@ -1415,10 +1505,9 @@ def _form_stage_dp_body(
                 )
             else:
                 _banded_stage_numpy(
-                    bands, prev_ok, tf[s - 1], tb[s - 1],
-                    s, b_hi, d_hi, M,
+                    bands, windows, prev_ok, tf[s - 1], tb[s - 1],
+                    s, b_hi, d_hi, k - S + 1, M,
                     best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
-                    slab_cache=band_slabs,
                 )
         else:
             dprimes = np.arange(s - 1, max(d_hi, s - 1))
@@ -1466,36 +1555,30 @@ def _form_stage_dp_body(
                     bsf[b, s:d_hi + 1] = (pok & ~fin).any(axis=(0, 1))
 
         # replay the (b asc, d desc) cell order over the failure masks to
-        # apply d_min pruning with the exact per-cell semantics
-        fin_rows = np.isfinite(best).tolist()
-        memf_rows = memf.tolist()
-        bsf_rows = bsf.tolist()
-        for b in range(s, b_hi + 1):
-            d_lo = max(d_min, s)
-            if d_lo > d_hi:
-                continue
-            row_fin = fin_rows[b]
-            row_memf = memf_rows[b]
-            row_bsf = bsf_rows[b]
-            stop = d_lo
-            for d in range(d_hi, d_lo - 1, -1):
-                states += 1
-                if (
-                    dmin_pruning
-                    and not row_fin[d]
-                    and row_memf[d]
-                    and not row_bsf[d]
-                ):
-                    # "No solution with d" due to MEMORY: fewer total
-                    # devices only raises per-device pressure, so prune
-                    # the remaining (descending) d range.  A microbatch-
-                    # collapse failure (bs < 1) is NOT monotone in d --
-                    # it occurs at HIGH replica counts -- so it must not
-                    # escalate d_min.
-                    stop = d
-                    d_min = d + 1
-                    break
-            keep[b, stop:d_hi + 1] = True
+        # apply d_min pruning with the exact per-cell semantics.  The
+        # descending d walk of row b stops at m_b, the highest d <= d_hi
+        # where a MEMORY failure left the cell empty ("no solution with
+        # d": fewer devices only raise per-device pressure, so the rest
+        # of the range is pruned and d_min = m_b + 1).  A microbatch-
+        # collapse failure (bs < 1) is NOT monotone in d -- it occurs at
+        # HIGH replica counts -- so it never prunes.  A stop below the
+        # row's start d_lo is never reached, and m_b + 1 <= d_lo then,
+        # so d_min before row b is one past the running max of earlier
+        # stops without tracking which were reached.
+        cells = (slice(s, b_hi + 1), slice(s, d_hi + 1))
+        if dmin_pruning:
+            prune = memf[cells] & ~bsf[cells] & ~np.isfinite(best[cells])
+            hit = prune.any(axis=1)
+            m = np.where(hit, d_hi - np.argmax(prune[:, ::-1], axis=1), 0)
+            row_dmin = np.maximum.accumulate(
+                np.concatenate(([d_min], m[:-1] + 1))
+            )
+            d_lo = np.maximum(row_dmin, s)
+            stop = np.where(m >= d_lo, m, d_lo)
+        else:
+            stop = np.full(b_hi - s + 1, s)
+        states += int(np.maximum(d_hi + 1 - stop, 0).sum())
+        keep[cells] = np.arange(s, d_hi + 1)[None, :] >= stop[:, None]
 
         written = keep & np.isfinite(best)
         V[s] = np.where(written, best, INF)
@@ -1513,6 +1596,14 @@ def _form_stage_dp_body(
         metrics.histogram("dp.states_per_call").observe(states)
     if sp is not None:
         sp.set(states_evaluated=states)
+        if mode in ("banded", "kernel"):
+            # why the call was cheap: the stored band width and the
+            # widest memory-feasible span the transitions reduced over
+            sp.set(band_span=bands.span)
+            if kernel is None:
+                sp.set(window=max(
+                    (w.width for w in windows.values()), default=0
+                ))
     if not np.isfinite(V[S, k, D]):
         if metrics is not None:
             metrics.counter("dp.infeasible").inc()
@@ -1571,14 +1662,17 @@ def reference_form_stage_dp(
     """Line-by-line transcription of Algorithm 1 with pure-Python loops.
 
     Kept as the reference implementation; tests assert it produces the
-    same objective as the vectorized :func:`form_stage_dp` on randomized
-    small instances.
+    same solution as the vectorized :func:`form_stage_dp` on randomized
+    small instances, and -- since it adds to ``ctx.dp_calls`` and
+    ``ctx.states_evaluated`` like the engines do, one state per visited
+    ``(b, d)`` cell -- the same counters.
     """
     if BS != ctx.batch_size:
         raise ValueError("batch size mismatch with DPContext")
     k = ctx.k
     if S < 1 or S > k or S > D:
         return INFEASIBLE
+    ctx._count_dp_call()
     checkpointing = S > 1
     M = ctx.usable_memory
     INF = float("inf")
@@ -1587,11 +1681,13 @@ def reference_form_stage_dp(
     tf: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
     tb: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
     parent: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    states = 0
 
     for s in range(1, S + 1):
         d_min = 1  # reset per stage count (see vectorized engine)
         for b in range(s, k - (S - s) + 1):
             for d in range(D - (S - s), max(d_min, s) - 1, -1):
+                states += 1
                 saw_mem_fail = False
                 saw_bs_fail = False
                 for bp in range(s - 1, b):
@@ -1625,6 +1721,7 @@ def reference_form_stage_dp(
                     d_min = d + 1
                     break
 
+    ctx._count_states(states)
     if V.get((S, k, D), INF) == INF:
         return INFEASIBLE
 

@@ -10,18 +10,19 @@ shapes, so any drift between the vectorized band gather and the scalar
 profile arithmetic fails loudly.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import tiny_cluster
 from repro.models import build_mlp
 from repro.models.random_dag import build_random_dag
-from repro.obs import MetricsRegistry
-from repro.partitioner import _dp_kernels
+from repro.obs import MetricsRegistry, Tracer
+from repro.partitioner import _dp_kernels, stage_dp
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import SEARCH_BACKENDS, form_stage
@@ -30,6 +31,7 @@ from repro.partitioner.stage_dp import (
     DPContext,
     FULL_TENSOR_MAX_CELLS,
     form_stage_dp,
+    reference_form_stage_dp,
     resolve_dp_engine,
 )
 from repro.planner import PlannerConfig
@@ -253,6 +255,226 @@ class TestEngineBitIdentity:
         a = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="banded")
         b = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="rows")
         assert solution_key(a) == solution_key(b)
+
+
+# ----------------------------------------------------------------------
+# windowed banded engine under tight memory
+
+
+def run_counted(ctx, S, D, MB, engine=None):
+    """``(solution_key, states)`` of one DP call; ``engine=None`` runs
+    the pure-Python reference."""
+    before = ctx.states_evaluated
+    if engine is None:
+        sol = reference_form_stage_dp(ctx, S, D, ctx.batch_size, 1, MB)
+    else:
+        sol = form_stage_dp(
+            ctx, S, D, ctx.batch_size, 1, MB, engine=engine
+        )
+    return solution_key(sol), ctx.states_evaluated - before
+
+
+def static_span_bytes(ctx, span):
+    """Smallest parameter-only footprint over every ``span``-block
+    stage: a budget below it makes every such stage (and every wider
+    one) over memory, so the band width cap binds."""
+    _, _, PARAMS = ctx._range_matrices()
+    static = ctx.profiler.memory_model.static_bytes(PARAMS)
+    return min(
+        float(static[lo, lo + span]) for lo in range(ctx.k - span + 1)
+    )
+
+
+class BumpyMemoryContext(DPContext):
+    """Two-block stages starting after an odd block cost an extra
+    petabyte, wider ones do not: the over-memory spans of those band
+    rows are not a suffix, which forces the banded engine's exact
+    per-cell memory-failure mask."""
+
+    def _bumped(self, lo, hi):
+        return (hi - lo == 2) & (lo % 2 == 1)
+
+    def _profile_planes(self, bs, MB, checkpointing):
+        tf, tb, mem = super()._profile_planes(bs, MB, checkpointing)
+        idx = np.arange(self.k + 1)
+        bump = self._bumped(idx[:, None], idx[None, :])
+        return tf, tb, np.where(bump, mem + 1e15, mem)
+
+    def stage_profile(self, lo, hi, replicas, R, MB, checkpointing):
+        prof = super().stage_profile(lo, hi, replicas, R, MB, checkpointing)
+        if prof is None or not self._bumped(lo, hi):
+            return prof
+        return dataclasses.replace(prof, memory=prof.memory + 1e15)
+
+
+class TestWindowedEngine:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        S=st.integers(min_value=2, max_value=4),
+        MB=st.sampled_from([1, 2]),
+        frac=st.floats(min_value=0.5, max_value=0.999),
+    )
+    def test_capped_band_matches_reference(self, seed, S, MB, frac):
+        # 64-wide layers at batch 8: parameters dominate stage memory,
+        # so a budget under the widest span's parameter bytes still
+        # leaves narrower stages feasible on many seeds
+        graph = build_random_dag(seed=seed, num_nodes=12, width=64)
+        ctx = make_ctx(graph=graph, k=8, batch_size=8)
+        nb = ctx.k - S + 1
+        assume(nb >= 2)
+        widest = static_span_bytes(ctx, nb - 1)
+        assume(widest > 0)
+        ctx.set_memory_budget(frac * widest)
+        assert ctx.band_span_cap() < nb  # the cap binds
+        assert resolve_dp_engine("numpy", ctx.k, 4) == "full"
+        got = run_counted(ctx, S, 4, MB, "banded")
+        assert got == run_counted(ctx, S, 4, MB, "numpy")
+        assert got == run_counted(ctx, S, 4, MB)
+        bands = ctx.profile_bands(4, 1, MB, S > 1, 1)  # cached band
+        assert bands.span < nb
+
+    def test_non_suffix_memory_uses_exact_mask(self):
+        base = make_ctx(k=6, batch_size=32)
+        ctx = BumpyMemoryContext(base.graph, base.blocks, base.profiler, 32)
+        assert ctx.supports_banded and ctx.band_span_cap() == ctx.k
+        bands = ctx.profile_bands(4, 1, 2, True, ctx.k)
+        win = stage_dp._plane_window(bands, 0, ctx.usable_memory, ctx.k)
+        assert win.over is not None and win.over_from is None
+        feasible = 0
+        for S, MB in [(1, 1), (2, 1), (2, 2), (3, 4), (4, 2)]:
+            got = run_counted(ctx, S, 4, MB, "banded")
+            assert got == run_counted(ctx, S, 4, MB, "numpy")
+            assert got == run_counted(ctx, S, 4, MB)
+            feasible += got[0] is not None
+        assert feasible >= 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        S=st.integers(min_value=1, max_value=4),
+        s_frac=st.floats(min_value=0.0, max_value=1.0),
+        MB=st.sampled_from([1, 2, 4, 16]),  # 16: bs < 1 at r >= 3
+        budget_pick=st.floats(min_value=0.0, max_value=1.0),
+        slack=st.floats(min_value=0.9, max_value=1.6),
+        bumpy=st.booleans(),
+        density=st.sampled_from([0.15, 0.5]),
+        mask_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_stage_reduction_matches_brute_force(
+        self, seed, S, s_frac, MB, budget_pick, slack, bumpy, density,
+        mask_seed,
+    ):
+        """One stage count of the windowed engine against a cell-by-cell
+        scan of the dense reference tensors: same best values, parents
+        and tie-breaks, and the same memory/microbatch failure masks
+        (which drive the d_min replay), for arbitrary feasible-predecessor
+        patterns."""
+        base = make_ctx(seed=seed, k=8, batch_size=32)
+        ctx = (
+            BumpyMemoryContext(base.graph, base.blocks, base.profiler, 32)
+            if bumpy else base
+        )
+        k, D = ctx.k, 4
+        assume(S <= k)
+        _, _, PARAMS = ctx._range_matrices()
+        static = ctx.profiler.memory_model.static_bytes(PARAMS)
+        spans = np.sort(static[np.triu_indices(k + 1, 1)])
+        pick = spans[int(budget_pick * (len(spans) - 1))]
+        ctx.set_memory_budget(float(pick) * slack)
+        M = ctx.usable_memory
+        s = 1 + int(s_frac * (S - 1))
+        b_hi, d_hi, nb = k - (S - s), D - (S - s), k - S + 1
+        rng = np.random.default_rng(mask_seed)
+        prev_ok = np.zeros((k + 1, D + 1), dtype=bool)
+        prev_ok[s - 1:b_hi, s - 1:d_hi] = (
+            rng.random((b_hi - s + 1, d_hi - s + 1)) < density
+        )
+        # coarse values so equal candidates (tie-breaks) actually occur
+        ptf = rng.integers(0, 3, (k + 1, D + 1)) * 1e-5
+        ptb = rng.integers(0, 3, (k + 1, D + 1)) * 1e-5
+        ckpt = S > 1
+        bands = ctx.profile_bands(
+            D, 1, MB, ckpt, min(nb, ctx.band_span_cap())
+        )
+        out = [np.full((k + 1, D + 1), np.inf), np.zeros((k + 1, D + 1)),
+               np.zeros((k + 1, D + 1)),
+               np.full((k + 1, D + 1), -1, dtype=np.int64),
+               np.full((k + 1, D + 1), -1, dtype=np.int64),
+               np.zeros((k + 1, D + 1), dtype=bool),
+               np.zeros((k + 1, D + 1), dtype=bool)]
+        stage_dp._banded_stage_numpy(
+            bands, {}, prev_ok, ptf, ptb, s, b_hi, d_hi, nb, M, *out
+        )
+        TF, TB, MEM = ctx.profile_tensors_reference(D, 1, MB, ckpt)
+        want = [np.full((k + 1, D + 1), np.inf), np.zeros((k + 1, D + 1)),
+                np.zeros((k + 1, D + 1)),
+                np.full((k + 1, D + 1), -1, dtype=np.int64),
+                np.full((k + 1, D + 1), -1, dtype=np.int64),
+                np.zeros((k + 1, D + 1), dtype=bool),
+                np.zeros((k + 1, D + 1), dtype=bool)]
+        best, btf, btb, bbp, bdp, memf, bsf = want
+        for b in range(s, b_hi + 1):
+            for d in range(s, d_hi + 1):
+                for bp in range(s - 1, b):       # (b', d') row-major:
+                    for dp in range(s - 1, d):   # first minimum wins
+                        if not prev_ok[bp, dp]:
+                            continue
+                        r = d - dp
+                        if not np.isfinite(TF[bp, b, r]):
+                            bsf[b, d] = True
+                            continue
+                        if MEM[bp, b, r] > M:
+                            memf[b, d] = True
+                            continue
+                        ctf = max(ptf[bp, dp], TF[bp, b, r])
+                        ctb = max(ptb[bp, dp], TB[bp, b, r])
+                        if ctf + ctb < best[b, d]:
+                            best[b, d] = ctf + ctb
+                            btf[b, d], btb[b, d] = ctf, ctb
+                            bbp[b, d], bdp[b, d] = bp, dp
+        fin = np.isfinite(best)
+        assert np.array_equal(np.isfinite(out[0]), fin)
+        for got, ref in zip(out[:5], want[:5]):
+            assert np.array_equal(got[fin], ref[fin])
+        assert np.array_equal(out[5], memf)
+        assert np.array_equal(out[6], bsf)
+
+    @pytest.mark.parametrize("how", ["set_memory_budget", "rebind"])
+    def test_raising_budget_widens_cap(self, how):
+        graph = build_mlp((64, 256, 256, 256, 256, 256, 64))
+        ctx = make_ctx(graph=graph, k=6, batch_size=32)
+        ctx.set_memory_budget(0.9 * static_span_bytes(ctx, 3))
+        narrow = ctx.band_span_cap()
+        assert narrow == 3  # spans of 3+ blocks exceed the budget
+        got = run_counted(ctx, 4, 4, 2, "banded")
+        assert got[0] is not None  # four stages of <= 2 blocks fit
+        assert got == run_counted(ctx, 4, 4, 2)
+        assert run_counted(ctx, 2, 4, 2, "banded")[0] is None
+        loose = 2 * static_span_bytes(ctx, ctx.k - 2)
+        if how == "rebind":
+            ctx.rebind(ctx.cluster, memory_budget=loose)
+        else:
+            ctx.set_memory_budget(loose)
+        assert ctx.band_span_cap() > narrow
+        for S, MB in [(1, 1), (2, 2), (3, 1)]:
+            got = run_counted(ctx, S, 4, MB, "banded")
+            assert got == run_counted(ctx, S, 4, MB)
+        assert got[0] is not None
+        assert ctx.profile_bands(4, 1, 2, True, 1).span > narrow
+
+    def test_span_records_band_and_window(self):
+        graph = build_mlp((64, 256, 256, 256, 256, 256, 64))
+        ctx = make_ctx(graph=graph, k=6, batch_size=32)
+        ctx.set_memory_budget(0.9 * static_span_bytes(ctx, 3))
+        tracer = Tracer()
+        sol = form_stage_dp(
+            ctx, 4, 4, 32, 1, 2, engine="banded", tracer=tracer
+        )
+        (sp,) = tracer.spans("partitioner.dp")
+        assert sp.attrs["band_span"] == ctx.band_span_cap() == 3
+        # four stages of <= 2 blocks cover k = 6: the window is 2 wide
+        assert sol is not None and sp.attrs["window"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _add_plan, _build_graph, main
+from repro.graph.validate import validate_graph
 
 
 class TestCLI:
@@ -167,3 +169,22 @@ class TestCLI:
             if e["ph"] == "X" and e["pid"] == 2
         }
         assert len(stage_tracks) >= 1
+
+    def test_plan_gpt_default_flags_builds_valid_graph(self):
+        # --hidden defaults to 1024, which 12 heads do not divide; the
+        # CLI derives 64-wide heads like the service does
+        parser = argparse.ArgumentParser()
+        _add_plan(parser.add_subparsers(dest="command"))
+        args = parser.parse_args(["plan", "--model", "gpt"])
+        graph = _build_graph(args)
+        validate_graph(graph)
+        assert graph.name == "gpt_h1024_l24"
+
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_plan_rejects_non_positive_batch_size(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--model", "bert", "--batch-size", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--batch-size" in err and "must be >= 1" in err
+        assert "Traceback" not in err
