@@ -22,6 +22,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -29,6 +30,8 @@ from repro.hardware import Precision, paper_cluster
 from repro.models import BertConfig, GPTConfig, ResNetConfig
 from repro.models import build_bert, build_gpt, build_resnet
 from repro.partitioner import PartitioningError, auto_partition
+from repro.partitioner.search import SEARCH_BACKENDS
+from repro.partitioner.stage_dp import DP_ENGINES
 
 #: named model presets accepted wherever --model takes a value
 MODEL_PRESETS = (
@@ -55,6 +58,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for sizes that must be positive and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
+
+
 def _add_partition(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("partition", help="auto-partition one model")
     p.add_argument("--model", choices=("bert", "resnet", "gpt"), default="bert")
@@ -65,7 +81,8 @@ def _add_partition(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
-    p.add_argument("--blocks", type=int, default=32, help="block count k")
+    p.add_argument("--blocks", type=_positive_int, default=32,
+                   help="block count k")
     p.add_argument("--save", type=str, default=None,
                    help="write the deployment JSON to this path")
 
@@ -83,14 +100,15 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
-    p.add_argument("--blocks", type=int, default=32, help="block count k")
+    p.add_argument("--blocks", type=_positive_int, default=32,
+                   help="block count k")
     p.add_argument("--cache-dir", type=str, default=None,
                    help="deployment cache directory (reruns load the plan)")
     p.add_argument("--delta", action="store_true",
                    help="delta replan: persist per-pass artifacts under "
                         "<cache-dir>/artifacts/ and reuse every artifact "
                         "whose inputs are unchanged (requires --cache-dir)")
-    p.add_argument("--memory-budget-gb", type=float, default=None,
+    p.add_argument("--memory-budget-gb", type=_positive_float, default=None,
                    help="cap the per-device memory the stage search may "
                         "fill (GiB); default: hardware capacity")
     p.add_argument("--cache-budget-mb", type=int, default=None,
@@ -104,17 +122,14 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--workers", type=int, default=None,
                    help="Algorithm-2 worker-pool size (default: CPU "
                         "count, capped at the candidate count)")
-    p.add_argument("--dp-engine",
-                   choices=("numpy", "numba", "banded", "dense", "rows"),
-                   default="numpy",
-                   help="Algorithm-1 evaluation engine; all engines "
+    p.add_argument("--dp-engine", choices=DP_ENGINES, default="numpy",
+                   help="Algorithm-1 evaluation engine: banded 'numpy' "
+                        "(default) or the per-(s, b) 'rows' engine; both "
                         "produce bit-identical plans (see docs/SCALING.md)")
-    p.add_argument("--search-backend",
-                   choices=("thread", "process", "serial"),
-                   default="thread",
-                   help="Algorithm-2 sweep pool: threads (default), "
-                        "processes (true parallelism on large graphs) or "
-                        "a serial sweep")
+    p.add_argument("--search-backend", choices=SEARCH_BACKENDS,
+                   default="serial",
+                   help="Algorithm-2 sweep: 'serial' (default) or "
+                        "'process' (a process pool for large graphs)")
     p.add_argument("--a100-nodes", type=int, default=0,
                    help="add this many 8-A100 nodes, making the cluster "
                         "heterogeneous (--nodes keeps counting the V100 "
@@ -153,7 +168,8 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
                    help="testbed preset (number of 8-V100 nodes)")
     p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
-    p.add_argument("--blocks", type=int, default=32, help="block count k")
+    p.add_argument("--blocks", type=_positive_int, default=32,
+                   help="block count k")
     p.add_argument("--out", type=str, default="trace.json",
                    help="Chrome-trace output path (load in "
                         "https://ui.perfetto.dev)")

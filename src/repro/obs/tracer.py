@@ -14,12 +14,11 @@ Design points:
   meaningful, which is exactly what trace viewers need.
 * **Nesting via a thread-local stack.**  ``span()`` is a context
   manager; the innermost open span on the *same thread* becomes the
-  parent.  Work fanned out to a thread pool (the parallel Algorithm-2
-  sweep) passes the coordinating span's id explicitly via ``parent_id``,
-  so cross-thread edges survive.
+  parent.  Work handed to another thread passes the coordinating span's
+  id explicitly via ``parent_id``, so cross-thread edges survive.
 * **Thread ids.**  Every span records ``threading.get_ident()`` at entry;
-  the Perfetto exporter maps them to one track per thread, making the
-  parallel sweep's interleaving visible.
+  the Perfetto exporter maps them to one track per thread, making
+  concurrent work (e.g. the plan service's request threads) visible.
 * **Cheap when disabled.**  A ``Tracer(enabled=False)`` hands out a
   shared no-op span and appends nothing, so instrumented hot paths cost
   one attribute check.
@@ -157,8 +156,7 @@ class Tracer:
         """Open a timed span; the context body runs inside it.
 
         ``parent_id`` overrides the implicit thread-local parent — use
-        it when the logical parent lives on another thread (e.g. the
-        Algorithm-2 sweep submitting DP candidates to a pool).
+        it when the logical parent lives on another thread.
         """
         if not self.enabled:
             yield NULL_SPAN

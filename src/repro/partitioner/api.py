@@ -49,7 +49,7 @@ def auto_partition(
     memory_budget: Optional[float] = None,
     cache_budget_bytes: Optional[int] = None,
     dp_engine: str = "numpy",
-    search_backend: str = "thread",
+    search_backend: str = "serial",
     search_workers: Optional[int] = None,
     reuse_from: Optional[PlanningContext] = None,
     mode: str = "training",
@@ -103,12 +103,11 @@ def auto_partition(
         cache_budget_bytes: LRU byte budget for the on-disk cache
             (deployment entries + artifacts); ``None`` is unbounded.
         dp_engine: Algorithm-1 evaluation engine
-            (:data:`~repro.partitioner.stage_dp.DP_ENGINES`); every
-            engine is bit-identical, ``"numba"`` opts into the JIT
-            kernel with a NumPy fallback.
-        search_backend: Algorithm-2 sweep pool (``"thread"``,
-            ``"process"`` or ``"serial"``); bit-identical plans and
-            counters under every backend.
+            (:data:`~repro.partitioner.stage_dp.DP_ENGINES`):
+            ``"numpy"`` (banded where possible) or ``"rows"``; both are
+            bit-identical.
+        search_backend: Algorithm-2 sweep (``"serial"`` or
+            ``"process"``); bit-identical plans and counters under both.
         search_workers: worker-pool size for the sweep (``None``: CPU
             count, capped at the candidate count).
         reuse_from: the :class:`PlanningContext` of a previous planning

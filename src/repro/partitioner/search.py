@@ -9,19 +9,17 @@ count that yields any feasible DP solution wins; among its microbatch
 variants the one with the best estimated iteration time is returned.
 
 The ``(S, MB)`` candidates of one node level are independent DP problems
-over a shared :class:`DPContext`, so they can run on a worker pool.  Two
-backends are available (``backend=``): ``"thread"`` shares the context
-across a thread pool (the caches and counters are lock-guarded and NumPy
-releases the GIL inside the reductions), while ``"process"`` forks the
-context into a :class:`~concurrent.futures.ProcessPoolExecutor` for true
-parallelism on big sweeps -- the context pickles via its
-``export/import_cache_state`` snapshot, candidates are chunked by
-microbatch count so each worker shares its profile-tensor cache across
-the stage counts it owns, and the parent *replays* every worker's
-``dp_calls`` / ``states_evaluated`` deltas in candidate order.  Under
-every backend the winner is selected from the results in the serial
-sweep's candidate order, so the returned plan and all statistics are
-identical to a sequential search.
+over a shared :class:`DPContext`.  Two backends are available
+(``backend=``): ``"serial"`` (the default) solves them one after another
+on the calling thread, while ``"process"`` forks the context into a
+:class:`~concurrent.futures.ProcessPoolExecutor` for parallelism on big
+sweeps -- the context pickles via its ``export/import_cache_state``
+snapshot, candidates are chunked by microbatch count so each worker
+shares its profile caches across the stage counts it owns, and the
+parent *replays* every worker's ``dp_calls`` / ``states_evaluated``
+deltas in candidate order.  Under both backends the winner is selected
+from the results in the serial sweep's candidate order, so the returned
+plan and all statistics are identical.
 
 Aligning ``D`` to whole nodes keeps each pipeline inside as few nodes as
 possible, which is why stage-to-stage transfers are costed at intra-node
@@ -31,7 +29,7 @@ bandwidth (footnote 3 of the paper).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -42,7 +40,7 @@ from repro.partitioner.stage_dp import DPContext, DPSolution, form_stage_dp
 
 #: accepted values for the Algorithm-2 ``backend`` knob /
 #: ``PlannerConfig.search_backend``
-SEARCH_BACKENDS = ("serial", "thread", "process")
+SEARCH_BACKENDS = ("serial", "process")
 
 #: per-worker DP context of a process-pool sweep, installed once by the
 #: pool initializer so every chunk the worker executes shares its caches
@@ -161,19 +159,18 @@ def _solve_candidates(
     R: int,
     parallel: bool,
     max_workers: Optional[int],
-    backend: str = "thread",
+    backend: str = "serial",
     engine: str = "numpy",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    parent_id: Optional[int] = None,
 ) -> Dict[Tuple[int, int], Optional[DPSolution]]:
     """Run ``form_stage_dp`` for every ``(S, MB)`` candidate pair.
 
     Returns results keyed by pair so the caller ranks them in candidate
     order regardless of worker completion order.  When a tracer is
-    given, every candidate carries its own ``dp.form_stage_dp`` span
-    (thread/serial backends only); ``parent_id`` links spans recorded on
-    pool threads back to the node-level span of the coordinating thread.
+    given, every candidate of a serial sweep carries its own
+    ``dp.form_stage_dp`` span, nested under the span open on the calling
+    thread.
     """
     if backend not in SEARCH_BACKENDS:
         raise ValueError(
@@ -181,35 +178,20 @@ def _solve_candidates(
             f"expected one of {SEARCH_BACKENDS}"
         )
     workers = max_workers or min(len(pairs), os.cpu_count() or 1)
-    if (
-        not parallel
-        or backend == "serial"
-        or len(pairs) <= 1
-        or (backend == "process" and workers <= 1)
-    ):
+    if not parallel or backend == "serial" or len(pairs) <= 1 or workers <= 1:
         # A one-worker process pool would pay fork + context-pickle cost
         # for zero concurrency (e.g. single-core hosts), so it degrades
         # to the serial sweep -- same results, counters and plan.
         return {
             (S, MB): form_stage_dp(
                 ctx, S, D, batch_size, R, MB, engine=engine,
-                tracer=tracer, metrics=metrics, parent_id=parent_id,
+                tracer=tracer, metrics=metrics,
             )
             for S, MB in pairs
         }
-    if backend == "process":
-        return _solve_candidates_process(
-            ctx, pairs, D, batch_size, R, workers, engine, metrics
-        )
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            (S, MB): pool.submit(
-                form_stage_dp, ctx, S, D, batch_size, R, MB, engine=engine,
-                tracer=tracer, metrics=metrics, parent_id=parent_id,
-            )
-            for S, MB in pairs
-        }
-        return {pair: fut.result() for pair, fut in futures.items()}
+    return _solve_candidates_process(
+        ctx, pairs, D, batch_size, R, workers, engine, metrics
+    )
 
 
 def form_stage(
@@ -221,7 +203,7 @@ def form_stage(
     search_all_stage_counts: bool = True,
     parallel: bool = True,
     max_workers: Optional[int] = None,
-    backend: str = "thread",
+    backend: str = "serial",
     engine: str = "numpy",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -240,22 +222,21 @@ def form_stage(
             estimated iteration time wins.  The strict reading can return
             a pipeline several stages shorter than optimal (see DESIGN.md,
             deviation D2); both modes are tested.
-        parallel: evaluate the independent ``(S, MB)`` DP candidates of a
-            level on a worker pool (deterministic: same plan and counters
-            as the serial sweep).
+        parallel: allow the ``"process"`` backend to evaluate the
+            independent ``(S, MB)`` DP candidates of a level on a worker
+            pool (deterministic: same plan and counters as the serial
+            sweep); ``False`` forces a serial sweep.
         max_workers: worker-pool size (default: CPU count, capped at the
             candidate count).
-        backend: one of :data:`SEARCH_BACKENDS` -- ``"thread"``
-            (default), ``"process"`` (true parallelism; the context is
-            forked to the workers and counter deltas are replayed in
-            candidate order) or ``"serial"`` (force a sequential sweep
-            regardless of ``parallel``).
+        backend: one of :data:`SEARCH_BACKENDS` -- ``"serial"``
+            (default) or ``"process"`` (the context is forked to the
+            workers and counter deltas are replayed in candidate order).
         engine: DP evaluation engine, forwarded to every
             :func:`form_stage_dp` call (see
             :data:`~repro.partitioner.stage_dp.DP_ENGINES`).
         tracer: optional tracer; each node level gets a ``search.level``
-            span and each ``(S, MB)`` candidate a ``dp.form_stage_dp``
-            span (parented to the level span even across pool threads).
+            span and, in a serial sweep, each ``(S, MB)`` candidate a
+            ``dp.form_stage_dp`` span nested under it.
         metrics: optional metrics registry, forwarded to every DP call.
 
     Returns:
@@ -314,14 +295,11 @@ def form_stage(
             microbatch_counts.append(MB)
             MB *= 2
 
-        def run_level(
-            pairs: List[Tuple[int, int]],
-            level_id: Optional[int] = None,
-        ) -> List[DPSolution]:
+        def run_level(pairs: List[Tuple[int, int]]) -> List[DPSolution]:
             results = _solve_candidates(
                 ctx, pairs, D, batch_size, R, parallel, max_workers,
                 backend=backend, engine=engine,
-                tracer=tracer, metrics=metrics, parent_id=level_id,
+                tracer=tracer, metrics=metrics,
             )
             return [
                 results[pair] for pair in pairs if results[pair] is not None
@@ -336,14 +314,13 @@ def form_stage(
             else nullcontext(None)
         )
         with level_cm as level_span:
-            level_id = level_span.span_id if level_span is not None else None
             if search_all_stage_counts:
                 pairs = [
                     (S, MB)
                     for S in range(s_lo, s_hi + 1)
                     for MB in microbatch_counts
                 ]
-                solutions = run_level(pairs, level_id)
+                solutions = run_level(pairs)
                 dp_calls += len(pairs)
                 tried += len(solutions)
             else:
@@ -353,7 +330,7 @@ def form_stage(
                 solutions = []
                 for S in range(s_lo, s_hi + 1):
                     pairs = [(S, MB) for MB in microbatch_counts]
-                    solutions = run_level(pairs, level_id)
+                    solutions = run_level(pairs)
                     dp_calls += len(pairs)
                     tried += len(solutions)
                     if solutions:

@@ -18,12 +18,15 @@ at ``(b, d) = (0, 0)`` (the pseudocode's blanket ``V[0, b, d] = 0`` would
 let solutions silently skip a prefix of blocks / devices, contradicting
 the recurrence for ``E_S`` in the text).
 
-All candidate-stage profiles for one DP call are precomputed into dense
-``(lo, hi, replicas)`` tensors.  The tensors are built without any
-per-entry Python work: a stage profile depends on the replica count only
-through the per-replica microbatch ``bs = BS // (R * MB * r)``, so one
-``(k+1, k+1)`` plane of broadcast prefix-sum differences per distinct
-``bs`` covers the whole replica axis.  Range boundary bytes come from an
+All candidate-stage profiles for one DP call are precomputed without
+any per-entry Python work: a stage profile depends on the replica count
+only through the per-replica microbatch ``bs = BS // (R * MB * r)``, so
+one plane of broadcast prefix-sum differences per distinct ``bs`` covers
+the whole replica axis.  The banded engine (the default) stores only the
+diagonal band of each plane that can hold a memory-feasible stage; the
+per-``(s, b)`` row engine (heterogeneous clusters, and contexts whose
+profiles cannot be banded) reads dense ``(lo, hi, replicas)`` tensors
+built from the full planes.  Range boundary bytes come from an
 incremental per-``lo`` sweep (extend ``hi`` one block at a time) and
 unique-parameter sizes from a 2-D difference-array rectangle sum, both
 exactly reproducing the per-entry results -- the per-entry builder is
@@ -53,60 +56,37 @@ from repro.profiler.profiler import GraphProfiler, ProfileResult
 
 INFEASIBLE = None
 
-#: (k+1)^2 * (D+1)^2 ceiling for the all-(b, d) DP evaluation; above it
-#: (e.g. the no-coarsening ablation's atomic-level contexts, k in the
-#: hundreds) a banded engine is used instead, which never materializes
-#: the dense (k+1, k+1, D+1) candidate tensors.
-FULL_TENSOR_MAX_CELLS = 2_000_000
-
 #: accepted values for the ``engine`` knob of :func:`form_stage_dp` /
-#: ``PlannerConfig.dp_engine``.  All engines are bit-identical (plans,
+#: ``PlannerConfig.dp_engine``.  Both engines are bit-identical (plans,
 #: tie-breaks and ``states_evaluated`` counters); the knob only selects
 #: the evaluation strategy:
 #:
-#: * ``"numpy"`` (default; ``"auto"`` is an alias): the dense full-slab
-#:   engine when the 4-D candidate space fits under
-#:   :data:`FULL_TENSOR_MAX_CELLS`, else the banded engine.
-#: * ``"numba"``: the banded layout reduced by a JIT-compiled kernel
-#:   (``repro.partitioner._dp_kernels``); falls back to the banded NumPy
-#:   engine when numba is not installed.
-#: * ``"banded"``: force the banded NumPy engine even when the dense
-#:   tensors would fit.
-#: * ``"dense"``: the pre-banded behavior (full slab when it fits, else
-#:   the per-(s, b) row engine) -- kept as the benchmarking baseline.
-#: * ``"rows"``: force the per-(s, b) row engine.
-DP_ENGINES = ("auto", "numpy", "numba", "banded", "dense", "rows")
+#: * ``"numpy"`` (default): the banded engine, or the per-(s, b) row
+#:   engine where banding cannot run (see :func:`resolve_dp_engine`).
+#: * ``"rows"``: force the per-(s, b) row engine over the dense
+#:   ``(k+1, k+1, D+1)`` profile tensors.
+DP_ENGINES = ("numpy", "rows")
 
 
 def resolve_dp_engine(
     engine: str, k: int, D: int, *, banded_supported: bool = True
 ) -> str:
     """Resolve an ``engine`` knob value to a concrete evaluation mode
-    (``"full"``, ``"banded"``, ``"kernel"`` or ``"rows"``) for a DP call
-    of ``k`` blocks and ``D`` devices.
+    (``"banded"`` or ``"rows"``).
 
     Contexts whose profiles cannot be deduplicated by per-replica
     microbatch (a custom ``stage_profile`` without a matching
-    ``_profile_planes``; see :attr:`DPContext.supports_banded`) fall back
-    to the dense engines regardless of the knob.
+    ``_profile_planes``; see :attr:`DPContext.supports_banded`) run the
+    row engine regardless of the knob.  ``k`` and ``D`` (the DP call's
+    block and device counts) do not affect the choice.
     """
     if engine not in DP_ENGINES:
         raise ValueError(
             f"unknown dp engine {engine!r}; expected one of {DP_ENGINES}"
         )
-    full_fits = (k + 1) * (k + 1) * (D + 1) * (D + 1) <= FULL_TENSOR_MAX_CELLS
-    if engine == "rows":
+    if engine == "rows" or not banded_supported:
         return "rows"
-    if engine == "dense" or not banded_supported:
-        return "full" if full_fits else "rows"
-    if engine in ("auto", "numpy"):
-        return "full" if full_fits else "banded"
-    if engine == "banded":
-        return "banded"
-    # engine == "numba"
-    from repro.partitioner._dp_kernels import kernel_available
-
-    return "kernel" if kernel_available() else "banded"
+    return "banded"
 
 
 @dataclass(frozen=True)
@@ -207,9 +187,6 @@ class BandedProfile:
     tb: np.ndarray            # (P, k, span) backward time
     mem: np.ndarray           # (P, k, span) memory bytes
 
-    def nbytes(self) -> int:
-        return self.tf.nbytes + self.tb.nbytes + self.mem.nbytes
-
 
 class DPContext:
     """Precomputed range profiles over one fixed block list.
@@ -221,10 +198,12 @@ class DPContext:
     Concurrency contract:
 
     * **Intra-run** (reads + memoization): all mutable caches and
-      counters are guarded by an RLock -- the Algorithm-2 sweep may issue
-      DP calls from a thread pool, and both the cached tensors and the
-      ``dp_calls`` / ``states_evaluated`` statistics must come out
-      identical to a serial sweep.
+      counters are guarded by an RLock, so a context shared by several
+      threads (e.g. two plan-service requests for the same model) keeps
+      its cached tensors and its ``dp_calls`` / ``states_evaluated``
+      statistics consistent.  The Algorithm-2 sweep itself issues DP
+      calls from one thread, or from worker processes that each hold a
+      pickled copy.
     * **Cross-run** (rebinding): :meth:`rebind` and
       :meth:`set_memory_budget` mutate the shared payload *in place*
       when a ``dp_context`` artifact is reused from an
@@ -294,10 +273,6 @@ class DPContext:
             Tuple[int, int, int, bool],
             Tuple[np.ndarray, np.ndarray, np.ndarray],
         ] = {}
-        self._dp_tensor_cache: Dict[
-            Tuple[int, int, int, bool],
-            Tuple[np.ndarray, ...],
-        ] = {}
         self._band_cache: Dict[
             Tuple[int, int, int, bool], BandedProfile
         ] = {}
@@ -353,12 +328,11 @@ class DPContext:
         return capacity
 
     def set_memory_budget(self, budget: Optional[float]) -> None:
-        """Change the memory cap; drops only the budget-dependent derived
-        masks (:meth:`_dp_tensors`), never the profile tensors."""
+        """Change the memory cap; drops only the budget-dependent band
+        width cap (:meth:`band_span_cap`), never the profile tensors."""
         with self._lock:
             if budget != self.memory_budget:
                 self.memory_budget = budget
-                self._dp_tensor_cache.clear()
                 self._span_cap = None
 
     def rebind(
@@ -375,11 +349,10 @@ class DPContext:
         p2p affine -- exactly the facets the artifact store keys the
         ``dp_context`` artifact on -- so a delta replan that changes the
         cluster shape, the capacity or the memory budget keeps them all.
-        The derived DP masks and the band-width cap additionally depend
-        on :attr:`usable_memory`, so they are dropped
-        only when the effective capacity/budget actually changed; the
-        per-run counters are reset so the new run's diagnostics start
-        from zero.
+        The band-width cap additionally depends on :attr:`usable_memory`,
+        so it is dropped only when the effective capacity/budget actually
+        changed; the per-run counters are reset so the new run's
+        diagnostics start from zero.
         """
         self.profiler.rebind_cluster(cluster)
         with self._lock:
@@ -391,7 +364,6 @@ class DPContext:
             if memory_budget != self.memory_budget:
                 self.memory_budget = memory_budget
             if self.usable_memory != old_usable:
-                self._dp_tensor_cache.clear()
                 self._span_cap = None
             self.dp_calls = 0
             self.states_evaluated = 0
@@ -405,8 +377,8 @@ class DPContext:
         serialization by the artifact store's disk backend).
 
         Covers the saved-activation prefix, the range matrices and the
-        per-batch time prefixes; the profile/DP tensors are derived from
-        these by pure broadcasting and are cheaper to rebuild than to
+        per-batch time prefixes; the profile tensors and bands are derived
+        from these by pure broadcasting and are cheaper to rebuild than to
         store."""
         with self._lock:
             arrays: Dict[str, np.ndarray] = {
@@ -766,11 +738,7 @@ class DPContext:
                 return cached
             if self.metrics is not None:
                 self.metrics.counter("profiler.tensor_builds").inc()
-            vectorized = (
-                type(self).stage_profile is DPContext.stage_profile
-                or type(self)._profile_planes is not DPContext._profile_planes
-            )
-            if vectorized:
+            if self.supports_banded:   # profiles come from planes
                 result = self._profile_tensors_vectorized(
                     D, R, MB, checkpointing
                 )
@@ -805,24 +773,6 @@ class DPContext:
                 TB[:, :, r] = tb_plane
                 MEM[:, :, r] = mem_plane
         return TF, TB, MEM
-
-    def _dp_tensors(
-        self, D: int, R: int, MB: int, checkpointing: bool
-    ) -> Tuple[np.ndarray, ...]:
-        """Profile tensors plus the DP's derived masks (finite stage /
-        memory over budget), cached so repeated ``form_stage_dp`` calls
-        with the same parameters skip recomputing them."""
-        key = (D, R, MB, checkpointing)
-        with self._lock:
-            cached = self._dp_tensor_cache.get(key)
-            if cached is not None:
-                return cached
-            TF, TB, MEM = self.profile_tensors(D, R, MB, checkpointing)
-            FIN = np.isfinite(TF)
-            OVER = MEM > self.usable_memory
-            result = (TF, TB, MEM, FIN, OVER)
-            self._dp_tensor_cache[key] = result
-            return result
 
     def hetero_tables(self, D: int, R: int) -> Tuple[np.ndarray, np.ndarray]:
         """Position-dependent capacity/speed tables for a heterogeneous
@@ -871,7 +821,7 @@ class DPContext:
     @property
     def supports_banded(self) -> bool:
         """Whether profiles may be deduplicated by per-replica microbatch
-        (the precondition of the banded/JIT engines): true for the default
+        (the precondition of the banded engine): true for the default
         profile semantics and for subclasses that provide a matching
         ``_profile_planes``; false for a custom ``stage_profile`` alone,
         which may depend on ``r`` directly."""
@@ -1135,13 +1085,16 @@ def _banded_stage_numpy(
 ) -> None:
     """One stage count of the banded DP engine.
 
-    Mirrors the full-slab engine's per-``d'`` column reduction in band
-    coordinates, with the replica axis reduced one *bs-group* at a
-    time: ``r`` values sharing a per-replica microbatch have identical
-    candidate values, so each group's argmin is computed once and
-    broadcast across the group's ``d`` range.  The update rule,
-    tie-breaks and failure-mask accumulation are the exact expressions
-    of the dense engine, so every written cell is bit-identical.
+    Reduces the ``(b', b)`` transitions of one feasible ``d'`` column at
+    a time in band coordinates, with the replica axis reduced one
+    *bs-group* at a time: ``r`` values sharing a per-replica microbatch
+    have identical candidate values, so each group's argmin is computed
+    once and broadcast across the group's ``d`` range.  A running
+    lexicographic ``(value, b', d')`` minimum across the ``d'`` columns
+    reproduces the reference's row-major ``(b', d')`` first-minimum
+    tie-break, and the failure masks record exactly the transitions the
+    reference counts as memory or microbatch failures, so every written
+    cell is bit-identical to :func:`reference_form_stage_dp`.
 
     Column ``b`` (``b = s .. b_hi``, ``nb = k - S + 1`` of them) reduces
     only the window ``b' = b - W + j``, ``j = 0 .. W - 1``, of plane
@@ -1152,8 +1105,8 @@ def _banded_stage_numpy(
     strided view, ``win[c, j] = padded[s + c + j, W - 1 - j]``, of the
     plane's padded band, and the previous stage's column is read the
     same way out of one INF-padded vector, so the candidate value
-    ``max(prev, TF) + max(prev, TB)`` is INF exactly where the dense
-    engine's masked ``np.where(ok, ..., INF)`` is.  Only the columns
+    ``max(prev, TF) + max(prev, TB)`` is INF exactly where the
+    predecessor is infeasible or the stage does not fit.  Only the columns
     whose window holds a feasible ``b'`` of this ``d'`` column are
     reduced.
     """
@@ -1189,9 +1142,9 @@ def _banded_stage_numpy(
                 break
             g = slice(dp_ + r1, dp_ + min(r2, nd) + 1)
             if p < 0:
-                # microbatch collapsed for this whole run of r: the dense
-                # engine's FIN plane is all-False there, so every valid
-                # transition (some pok b' < b) records a bs failure
+                # microbatch collapsed for this whole run of r: no stage
+                # profile exists there, so every valid transition (some
+                # pok b' < b) records a bs failure
                 bsf[first_pok + 1: b_hi + 1, g] = True
                 continue
             win = windows.get(p)
@@ -1242,7 +1195,7 @@ def _banded_stage_numpy(
             j_idx = v.argmin(axis=1)          # (b,): smallest b' wins
             rows = cols[:n]
             vmin = v[rows, j_idx]
-            if np.minimum.reduce(vmin) == INF:  # == the dense ok.any() skip
+            if np.minimum.reduce(vmin) == INF:  # no feasible candidate
                 continue
             # all-INF columns point into the padding; clamping them to a
             # real b' keeps INF == INF "ties" from rewriting empty cells
@@ -1272,7 +1225,6 @@ def form_stage_dp(
     engine: str = "numpy",
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    parent_id: Optional[int] = None,
 ) -> Optional[DPSolution]:
     """Algorithm 1: DP over stage boundaries and device allocations.
 
@@ -1291,8 +1243,8 @@ def form_stage_dp(
         tracer: optional :class:`~repro.obs.tracer.Tracer`; when given,
             the whole call is wrapped in a ``dp.form_stage_dp`` span
             carrying ``(S, D, R, MB)``, the visited-state count and the
-            outcome.  ``parent_id`` links the span to the coordinating
-            Algorithm-2 span when this call runs on a pool thread.
+            outcome; it nests under whatever span is open on the calling
+            thread (the Algorithm-2 ``search.level`` span in a sweep).
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             records ``dp.calls``, ``dp.states_evaluated`` (total and per
             ``(S, MB)`` point) and the ``dp.states_per_call`` histogram.
@@ -1301,16 +1253,13 @@ def form_stage_dp(
         The best :class:`DPSolution`, or ``None`` (INFEASIBLE).
 
     The transition for every ``(b, d)`` cell of one stage count is
-    evaluated as a tensor reduction.  When the 4-D candidate space
-    ``(b', b, d', d)`` fits under :data:`FULL_TENSOR_MAX_CELLS`, the
-    engine loops over the few feasible ``d'`` columns and reduces a
-    ``(b', b, r)`` slab per column -- each slab is a pure *slice* of the
-    cached profile tensors (``r = d - d'`` increases along the ``d``
-    axis), so no gather is materialized; a running lexicographic
-    ``(value, b', d')`` minimum reproduces the per-cell flat argmin
-    tie-break exactly.  Larger instances use the banded engine (see
-    :func:`_banded_stage_numpy`), or a per-``b`` row engine that reduces
-    ``(b', d', d)`` slabs.  Every path then *replays* the original cell
+    evaluated as a tensor reduction: by the banded engine (see
+    :func:`_banded_stage_numpy`), which loops over the feasible ``d'``
+    columns and keeps a running lexicographic ``(value, b', d')``
+    minimum, or by the per-``b`` row engine, which reduces ``(b', d',
+    d)`` slabs of the dense profile tensors with one flat argmin.  The
+    row engine is the only one for heterogeneous clusters and for
+    contexts that cannot be banded.  Both then *replay* the original cell
     ordering (b ascending, d descending) over the precomputed memory/bs
     failure masks to apply the ``d_min`` rule, as array operations, so
     visited-state counts, pruning decisions and tie-breaks (first
@@ -1327,7 +1276,6 @@ def form_stage_dp(
                 tracer.span(
                     "dp.form_stage_dp",
                     category="partitioner.dp",
-                    parent_id=parent_id,
                     S=S, D=D, R=R, MB=MB,
                 )
             )
@@ -1362,7 +1310,7 @@ def _form_stage_dp_body(
     if hetero:
         # position-aware variant of the rows engine: the memory cap and
         # stage speed depend on WHICH cumulative-device slots [d', d) a
-        # stage lands on, so the scalar-M engines cannot apply.  The
+        # stage lands on, so the scalar-M banded engine cannot apply.  The
         # d_min rule is also off: feasibility is no longer monotone in d
         # once a class boundary sits inside the slot range.
         MINMEM, SLOW = ctx.hetero_tables(D, R)
@@ -1374,23 +1322,12 @@ def _form_stage_dp_body(
         mode = resolve_dp_engine(
             engine, k, D, banded_supported=ctx.supports_banded
         )
-    full = mode == "full"
-    kernel = None
-    if full:
-        TF, TB, MEM, FIN, OVER = ctx._dp_tensors(D, R, MB, checkpointing)
-        # b' < b (a stage must contain at least one block)
-        LT = np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
-    elif mode in ("banded", "kernel"):
+    banded = mode == "banded"
+    if banded:
         # within this DP call every reachable stage spans at most
         # k - S + 1 blocks and every memory-feasible one fewer than
-        # band_span_cap() blocks (the kernel keeps the reachable band)
-        span = k - S + 1
-        if mode == "kernel":
-            from repro.partitioner._dp_kernels import banded_stage_kernel
-
-            kernel = banded_stage_kernel
-        else:
-            span = min(span, ctx.band_span_cap())
+        # band_span_cap() blocks
+        span = min(k - S + 1, ctx.band_span_cap())
         bands = ctx.profile_bands(D, R, MB, checkpointing, span)
         # per-plane windows are shared across the whole s loop: nb =
         # k - S + 1 and the memory budget are constant within one call
@@ -1399,10 +1336,6 @@ def _form_stage_dp_body(
         TF, TB, MEM = ctx.profile_tensors(D, R, MB, checkpointing)
 
     INF = np.inf
-    # broadcastable index planes for gathering the per-(b, r) argmin out
-    # of a (b', b, r) slab without take_along_axis overhead
-    row_idx = np.arange(k + 1)[:, None]
-    col_idx = np.arange(D + 1)[None, :]
     V = np.full((S + 1, k + 1, D + 1), INF)
     tf = np.zeros((S + 1, k + 1, D + 1))
     tb = np.zeros((S + 1, k + 1, D + 1))
@@ -1433,82 +1366,12 @@ def _form_stage_dp_body(
         bsf = np.zeros((k + 1, D + 1), dtype=bool)
         keep = np.zeros((k + 1, D + 1), dtype=bool)
 
-        if full:
-            # one (b', b, r) slab per feasible d' column: for fixed d',
-            # the replica count r = d - d' increases 1:1 along the d
-            # axis, so the slab is a pure *slice* TF[..., 1:nd+1] of the
-            # cached tensors (no gather materialized).  A running
-            # lexicographic (value, b', d') minimum across columns
-            # equals the flat (b', d') row-major argmin.
-            ptf = tf[s - 1]
-            ptb = tb[s - 1]
-            col_ok = prev_ok.any(axis=0)
-            # finite prev states at stage s-1 only exist for b' in
-            # [s-1, b_hi-1] and d' in [s-1, d_hi-1], so the slab can be
-            # restricted to those rows (views, no copies)
-            bsl = slice(s, b_hi + 1)
-            psl = slice(s - 1, b_hi)
-            lt = LT[psl, bsl]
-            for dp in range(s - 1, d_hi):
-                if not col_ok[dp]:
-                    continue
-                nd = d_hi - dp
-                rsl = slice(1, nd + 1)
-                ds_ = slice(dp + 1, d_hi + 1)
-                pok = prev_ok[psl, dp]
-                valid2 = pok[:, None] & lt  # (b', b)
-                fin = FIN[psl, bsl, rsl]
-                over = OVER[psl, bsl, rsl]
-                vf = valid2[:, :, None] & fin
-                if over.any():
-                    ok = vf & ~over
-                    memf[bsl, ds_] |= (vf & over).any(axis=0)
-                else:
-                    ok = vf
-                if not fin.all():
-                    bsf[bsl, ds_] |= (valid2[:, :, None] & ~fin).any(axis=0)
-                if not ok.any():
-                    continue
-                cand_tf = np.maximum(
-                    ptf[psl, dp][:, None, None], TF[psl, bsl, rsl]
-                )
-                cand_tb = np.maximum(
-                    ptb[psl, dp][:, None, None], TB[psl, bsl, rsl]
-                )
-                v = np.where(ok, cand_tf + cand_tb, INF)
-                bp_idx = np.argmin(v, axis=0)  # (b, r): smallest b' wins
-                rows = row_idx[: bp_idx.shape[0]]
-                cols = col_idx[:, :nd]
-                vmin = v[bp_idx, rows, cols]
-                bpg = bp_idx + (s - 1)
-                cur = best[bsl, ds_]
-                cur_bp = best_bp[bsl, ds_]
-                # strict improvement, or an equal value from a smaller
-                # b' (equal (value, b') keeps the earlier -- smaller --
-                # d'): the (b', d') row-major first-minimum tie-break
-                upd = (vmin < cur) | ((vmin == cur) & (bpg < cur_bp))
-                if upd.any():
-                    ctf = cand_tf[bp_idx, rows, cols]
-                    ctb = cand_tb[bp_idx, rows, cols]
-                    best[bsl, ds_] = np.where(upd, vmin, cur)
-                    best_tf[bsl, ds_] = np.where(upd, ctf, best_tf[bsl, ds_])
-                    best_tb[bsl, ds_] = np.where(upd, ctb, best_tb[bsl, ds_])
-                    best_bp[bsl, ds_] = np.where(upd, bpg, cur_bp)
-                    best_dp[bsl, ds_] = np.where(upd, dp, best_dp[bsl, ds_])
-        elif mode in ("banded", "kernel"):
-            if kernel is not None:
-                kernel(
-                    bands.tf, bands.tb, bands.mem, bands.plane_of_r,
-                    prev_ok, tf[s - 1], tb[s - 1],
-                    s, b_hi, d_hi, float(M),
-                    best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
-                )
-            else:
-                _banded_stage_numpy(
-                    bands, windows, prev_ok, tf[s - 1], tb[s - 1],
-                    s, b_hi, d_hi, k - S + 1, M,
-                    best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
-                )
+        if banded:
+            _banded_stage_numpy(
+                bands, windows, prev_ok, tf[s - 1], tb[s - 1],
+                s, b_hi, d_hi, k - S + 1, M,
+                best, best_tf, best_tb, best_bp, best_dp, memf, bsf,
+            )
         else:
             dprimes = np.arange(s - 1, max(d_hi, s - 1))
             ds = np.arange(s, d_hi + 1)
@@ -1596,14 +1459,13 @@ def _form_stage_dp_body(
         metrics.histogram("dp.states_per_call").observe(states)
     if sp is not None:
         sp.set(states_evaluated=states)
-        if mode in ("banded", "kernel"):
+        if banded:
             # why the call was cheap: the stored band width and the
             # widest memory-feasible span the transitions reduced over
-            sp.set(band_span=bands.span)
-            if kernel is None:
-                sp.set(window=max(
-                    (w.width for w in windows.values()), default=0
-                ))
+            sp.set(
+                band_span=bands.span,
+                window=max((w.width for w in windows.values()), default=0),
+            )
     if not np.isfinite(V[S, k, D]):
         if metrics is not None:
             metrics.counter("dp.infeasible").inc()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -45,15 +46,17 @@ class PlannerConfig:
 
     ``dp_engine`` selects the Algorithm-1 evaluation strategy
     (:data:`~repro.partitioner.stage_dp.DP_ENGINES`): ``"numpy"``
-    (default) picks the dense full-slab engine when it fits and the
-    banded engine above that, ``"numba"`` opts into the JIT kernel
-    (falling back to banded NumPy when numba is absent), and
-    ``"banded"`` / ``"dense"`` / ``"rows"`` force specific engines for
-    benchmarking.  ``search_backend`` selects the Algorithm-2 sweep pool
-    (:data:`~repro.partitioner.search.SEARCH_BACKENDS`): ``"thread"``
-    (default), ``"process"`` for true parallelism on large graphs, or
-    ``"serial"``.  Both are run-mode knobs: every combination produces
-    bit-identical plans and counters.
+    (default) runs the banded engine, or the per-(s, b) row engine where
+    banding cannot run (heterogeneous clusters), and ``"rows"`` forces
+    the row engine.  ``search_backend`` selects the Algorithm-2 sweep
+    (:data:`~repro.partitioner.search.SEARCH_BACKENDS`): ``"serial"``
+    (default) or ``"process"`` for a process pool on large graphs.  Both
+    are run-mode knobs: every combination produces bit-identical plans
+    and counters.
+
+    ``num_blocks`` and ``max_microbatches`` (when set) must be at least
+    1, and ``memory_budget`` (when set) a positive finite byte count;
+    anything else raises :class:`ValueError`.
 
     ``trace`` turns on fine-grained span recording (per-candidate
     Algorithm-2 spans, per-call Algorithm-1 DP spans) on the context's
@@ -91,7 +94,7 @@ class PlannerConfig:
             memory_budget=24 * 2**30, # cap the stage search at 24 GiB
             cache_dir="~/.cache/repro",
             cache_budget_bytes=256 * 2**20,
-            dp_engine="numpy",        # auto: dense small, banded large
+            dp_engine="numpy",        # banded; "rows" for the row engine
             trace=True,
         )
 
@@ -112,7 +115,7 @@ class PlannerConfig:
     cache_dir: Optional[Union[str, Path]] = None
     parallel_search: bool = True
     search_workers: Optional[int] = None
-    search_backend: str = "thread"
+    search_backend: str = "serial"
     dp_engine: str = "numpy"
     trace: bool = False
     comm_model: Optional[str] = None
@@ -137,6 +140,21 @@ class PlannerConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; "
                 f"expected 'training' or 'inference'"
+            )
+        if self.num_blocks < 1:
+            raise ValueError(
+                f"num_blocks must be >= 1, got {self.num_blocks}"
+            )
+        if self.max_microbatches is not None and self.max_microbatches < 1:
+            raise ValueError(
+                f"max_microbatches must be >= 1, got {self.max_microbatches}"
+            )
+        if self.memory_budget is not None and not (
+            math.isfinite(self.memory_budget) and self.memory_budget > 0
+        ):
+            raise ValueError(
+                f"memory_budget must be a positive finite byte count, "
+                f"got {self.memory_budget}"
             )
 
     def fingerprint(self) -> str:

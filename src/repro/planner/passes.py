@@ -114,12 +114,13 @@ class CoarsenPass(PlannerPass):
 class ProfileTensorsPass(PlannerPass):
     """Build the :class:`DPContext`: the profiling state of Algorithm 1.
 
-    The context's range matrices, per-batch time prefixes and dense
-    profile tensors depend on the graph, the block list, the batch size,
-    the device performance model and the same-node p2p affine -- *not*
-    on the cluster shape, the memory capacity or the budget -- so a
-    delta replan that only resized the cluster reuses it wholesale (the
-    most expensive artifact to rebuild).  The range matrices are built
+    The context's range matrices, per-batch time prefixes and profile
+    bands (dense profile tensors for the row engine) depend on the
+    graph, the block list, the batch size, the device performance model
+    and the same-node p2p affine -- *not* on the cluster shape, the
+    memory capacity or the budget -- so a delta replan that only resized
+    the cluster reuses it wholesale (the most expensive artifact to
+    rebuild).  The range matrices are built
     eagerly here; the per-``(D, R, MB)`` tensors fill in lazily during
     the stage search and travel with the artifact.
     """
@@ -165,7 +166,7 @@ class StageSearchPass(PlannerPass):
         memo_before = profiler.memo_hit_rate
         dp_ctx = ctx.require(DP_CONTEXT)
         # the budget gates feasibility only; a reused context just drops
-        # its derived masks, never the profile tensors
+        # its band width cap, never the profile tensors
         dp_ctx.set_memory_budget(ctx.config.memory_budget)
         result = form_stage(
             dp_ctx,

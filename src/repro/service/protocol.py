@@ -329,6 +329,13 @@ OPTION_FIELDS = {
     "mode": "mode",
 }
 
+#: numeric options: (option, PlannerConfig field, type, unit scale)
+NUMERIC_OPTIONS = (
+    ("blocks", "num_blocks", int, 1),
+    ("max_microbatches", "max_microbatches", int, 1),
+    ("memory_budget_gb", "memory_budget", float, 2**30),
+)
+
 
 def build_config(
     params: Dict[str, Any],
@@ -360,16 +367,21 @@ def build_config(
     kwargs: Dict[str, Any] = {"batch_size": batch_size, "verify": True}
     if options.get("amp"):
         kwargs["precision"] = Precision.AMP
-    if "blocks" in options:
-        kwargs["num_blocks"] = int(options["blocks"])
-    if "max_microbatches" in options:
-        kwargs["max_microbatches"] = int(options["max_microbatches"])
-    if "memory_budget_gb" in options:
-        kwargs["memory_budget"] = float(options["memory_budget_gb"]) * 2**30
     for name in ("comm_model", "dp_engine", "search_backend", "schedule",
                  "mode"):
         if name in options:
             kwargs[name] = options[name]
+    # conversion errors here, range errors in PlannerConfig: both 400s
+    for name, field_name, convert, scale in NUMERIC_OPTIONS:
+        if name in options:
+            try:
+                kwargs[field_name] = convert(options[name]) * scale
+            except (TypeError, ValueError, OverflowError):
+                raise ServiceError(
+                    "bad_request",
+                    f"option {name!r} must be a {convert.__name__}, "
+                    f"got {options[name]!r}",
+                ) from None
     try:
         return PlannerConfig(
             cache_dir=cache_dir,

@@ -1,9 +1,10 @@
 """Equivalence suite for the native-speed DP core.
 
-Every DP engine (dense slab, banded, JIT kernel, legacy rows) and every
-search backend (serial, thread, process) must produce *bit-identical*
-results: same plans, same tie-breaks, same ``dp_calls`` /
-``states_evaluated`` counters.  The banded profile construction is
+Both DP engines (banded, per-(s, b) rows) and both search backends
+(serial, process) must produce results *bit-identical* to each other and
+to the pure-Python ``reference_form_stage_dp``: same plans, same
+tie-breaks, same ``dp_calls`` / ``states_evaluated`` counters.  The
+banded profile construction is
 additionally checked against the per-entry ``stage_profile`` oracle
 (:meth:`DPContext.profile_tensors_reference`) with hypothesis-driven
 shapes, so any drift between the vectorized band gather and the scalar
@@ -22,14 +23,13 @@ from repro.hardware import tiny_cluster
 from repro.models import build_mlp
 from repro.models.random_dag import build_random_dag
 from repro.obs import MetricsRegistry, Tracer
-from repro.partitioner import _dp_kernels, stage_dp
+from repro.partitioner import stage_dp
 from repro.partitioner.atomic import atomic_partition
 from repro.partitioner.blocks import block_partition
 from repro.partitioner.search import SEARCH_BACKENDS, form_stage
 from repro.partitioner.stage_dp import (
     DP_ENGINES,
     DPContext,
-    FULL_TENSOR_MAX_CELLS,
     form_stage_dp,
     reference_form_stage_dp,
     resolve_dp_engine,
@@ -78,40 +78,35 @@ def solution_key(sol):
 
 
 class TestResolveEngine:
-    def test_small_instances_use_full_slab(self):
-        assert resolve_dp_engine("numpy", 6, 4) == "full"
-        assert resolve_dp_engine("auto", 6, 4) == "full"
-        assert resolve_dp_engine("dense", 6, 4) == "full"
+    def test_small_instances_use_banded(self):
+        assert resolve_dp_engine("numpy", 6, 4) == "banded"
 
     def test_large_instances_split_by_knob(self):
-        k = 600  # (601^2)(33^2) >> FULL_TENSOR_MAX_CELLS
-        assert (k + 1) ** 2 * 33**2 > FULL_TENSOR_MAX_CELLS
-        assert resolve_dp_engine("numpy", k, 32) == "banded"
-        assert resolve_dp_engine("dense", k, 32) == "rows"
+        # only the knob decides, never the instance size
+        assert resolve_dp_engine("numpy", 600, 32) == "banded"
+        assert resolve_dp_engine("rows", 600, 32) == "rows"
 
     def test_forced_engines(self):
-        assert resolve_dp_engine("banded", 6, 4) == "banded"
         assert resolve_dp_engine("rows", 6, 4) == "rows"
-
-    def test_numba_knob_degrades_to_banded_without_numba(self):
-        expect = "kernel" if _dp_kernels.kernel_available() else "banded"
-        assert resolve_dp_engine("numba", 6, 4) == expect
-
-    def test_numba_knob_uses_kernel_when_available(self, monkeypatch):
-        monkeypatch.setattr(_dp_kernels, "NUMBA_AVAILABLE", True)
-        assert resolve_dp_engine("numba", 6, 4) == "kernel"
+        assert set(DP_ENGINES) == {"numpy", "rows"}
 
     def test_unsupported_context_falls_back_dense(self):
-        assert resolve_dp_engine("banded", 6, 4, banded_supported=False) == (
-            "full"
+        # the row engine reads the dense (k+1, k+1, D+1) profile tensors
+        assert resolve_dp_engine("numpy", 6, 4, banded_supported=False) == (
+            "rows"
         )
         assert resolve_dp_engine(
-            "numba", 600, 32, banded_supported=False
+            "rows", 600, 32, banded_supported=False
         ) == "rows"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown dp engine"):
             resolve_dp_engine("cuda", 6, 4)
+
+    @pytest.mark.parametrize("engine", ["auto", "numba", "banded", "dense"])
+    def test_removed_engine_values_rejected(self, engine):
+        with pytest.raises(ValueError, match="'numpy', 'rows'"):
+            resolve_dp_engine(engine, 6, 4)
 
 
 # ----------------------------------------------------------------------
@@ -191,16 +186,22 @@ class TestEngineBitIdentity:
         keys, counters = {}, {}
         for engine in ENGINES:
             m = MetricsRegistry()
-            before = ctx.states_evaluated
+            calls, before = ctx.dp_calls, ctx.states_evaluated
             sol = form_stage_dp(
                 ctx, S, 4, 32, 1, MB, engine=engine, metrics=m
             )
             keys[engine] = solution_key(sol)
-            counters[engine] = (
-                ctx.states_evaluated - before,
-                m.counter("dp.states_evaluated").value,
-                m.counter("dp.calls").value,
-            )
+            states = ctx.states_evaluated - before
+            assert m.counter("dp.states_evaluated").value == states
+            assert m.counter("dp.calls").value == ctx.dp_calls - calls
+            counters[engine] = (ctx.dp_calls - calls, states)
+        calls, before = ctx.dp_calls, ctx.states_evaluated
+        keys["reference"] = solution_key(
+            reference_form_stage_dp(ctx, S, 4, 32, 1, MB)
+        )
+        counters["reference"] = (
+            ctx.dp_calls - calls, ctx.states_evaluated - before
+        )
         assert len(set(keys.values())) == 1, keys
         assert len(set(counters.values())) == 1, counters
 
@@ -211,24 +212,11 @@ class TestEngineBitIdentity:
         )
         g = build_mlp((64, 256, 256, 256, 64))
         ctx = make_ctx(graph=g, k=8, batch_size=64, cluster=cluster)
-        keys = {
-            engine: solution_key(
-                form_stage_dp(ctx, 2, 4, 64, 1, 2, engine=engine)
-            )
-            for engine in ENGINES
+        runs = {
+            engine: run_counted(ctx, 2, 4, 2, engine)
+            for engine in [*ENGINES, None]   # None: the reference
         }
-        assert len(set(keys.values())) == 1, keys
-
-    def test_python_kernel_matches_numpy(self, monkeypatch):
-        # pretend numba is importable so the "numba" knob takes the
-        # kernel path; the kernel body is plain Python without the JIT,
-        # so this exercises the exact loop nest numba would compile
-        monkeypatch.setattr(_dp_kernels, "NUMBA_AVAILABLE", True)
-        for S, MB in [(1, 1), (2, 2), (3, 1), (4, 4)]:
-            ctx = make_ctx(k=6, batch_size=32)
-            ref = form_stage_dp(ctx, S, 4, 32, 1, MB, engine="numpy")
-            got = form_stage_dp(ctx, S, 4, 32, 1, MB, engine="numba")
-            assert solution_key(got) == solution_key(ref)
+        assert len(set(runs.values())) == 1, runs
 
     def test_custom_stage_profile_context_avoids_bands(self):
         class Perturbed(DPContext):
@@ -250,11 +238,12 @@ class TestEngineBitIdentity:
         base = make_ctx()
         ctx = Perturbed(base.graph, base.blocks, base.profiler, 32)
         assert not ctx.supports_banded
-        # "banded" silently falls back to a dense engine and still
-        # returns the perturbed-profile optimum
-        a = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="banded")
-        b = form_stage_dp(ctx, 2, 4, 32, 1, 2, engine="rows")
-        assert solution_key(a) == solution_key(b)
+        # the default engine silently falls back to the row engine and
+        # still returns the perturbed-profile optimum
+        got = run_counted(ctx, 2, 4, 2, "numpy")
+        assert got[0] is not None
+        assert got == run_counted(ctx, 2, 4, 2, "rows")
+        assert got == run_counted(ctx, 2, 4, 2)
 
 
 # ----------------------------------------------------------------------
@@ -327,9 +316,8 @@ class TestWindowedEngine:
         assume(widest > 0)
         ctx.set_memory_budget(frac * widest)
         assert ctx.band_span_cap() < nb  # the cap binds
-        assert resolve_dp_engine("numpy", ctx.k, 4) == "full"
-        got = run_counted(ctx, S, 4, MB, "banded")
-        assert got == run_counted(ctx, S, 4, MB, "numpy")
+        got = run_counted(ctx, S, 4, MB, "numpy")
+        assert got == run_counted(ctx, S, 4, MB, "rows")
         assert got == run_counted(ctx, S, 4, MB)
         bands = ctx.profile_bands(4, 1, MB, S > 1, 1)  # cached band
         assert bands.span < nb
@@ -343,8 +331,8 @@ class TestWindowedEngine:
         assert win.over is not None and win.over_from is None
         feasible = 0
         for S, MB in [(1, 1), (2, 1), (2, 2), (3, 4), (4, 2)]:
-            got = run_counted(ctx, S, 4, MB, "banded")
-            assert got == run_counted(ctx, S, 4, MB, "numpy")
+            got = run_counted(ctx, S, 4, MB, "numpy")
+            assert got == run_counted(ctx, S, 4, MB, "rows")
             assert got == run_counted(ctx, S, 4, MB)
             feasible += got[0] is not None
         assert feasible >= 3
@@ -447,10 +435,10 @@ class TestWindowedEngine:
         ctx.set_memory_budget(0.9 * static_span_bytes(ctx, 3))
         narrow = ctx.band_span_cap()
         assert narrow == 3  # spans of 3+ blocks exceed the budget
-        got = run_counted(ctx, 4, 4, 2, "banded")
+        got = run_counted(ctx, 4, 4, 2, "numpy")
         assert got[0] is not None  # four stages of <= 2 blocks fit
         assert got == run_counted(ctx, 4, 4, 2)
-        assert run_counted(ctx, 2, 4, 2, "banded")[0] is None
+        assert run_counted(ctx, 2, 4, 2, "numpy")[0] is None
         loose = 2 * static_span_bytes(ctx, ctx.k - 2)
         if how == "rebind":
             ctx.rebind(ctx.cluster, memory_budget=loose)
@@ -458,7 +446,7 @@ class TestWindowedEngine:
             ctx.set_memory_budget(loose)
         assert ctx.band_span_cap() > narrow
         for S, MB in [(1, 1), (2, 2), (3, 1)]:
-            got = run_counted(ctx, S, 4, MB, "banded")
+            got = run_counted(ctx, S, 4, MB, "numpy")
             assert got == run_counted(ctx, S, 4, MB)
         assert got[0] is not None
         assert ctx.profile_bands(4, 1, 2, True, 1).span > narrow
@@ -468,9 +456,7 @@ class TestWindowedEngine:
         ctx = make_ctx(graph=graph, k=6, batch_size=32)
         ctx.set_memory_budget(0.9 * static_span_bytes(ctx, 3))
         tracer = Tracer()
-        sol = form_stage_dp(
-            ctx, 4, 4, 32, 1, 2, engine="banded", tracer=tracer
-        )
+        sol = form_stage_dp(ctx, 4, 4, 32, 1, 2, tracer=tracer)
         (sp,) = tracer.spans("partitioner.dp")
         assert sp.attrs["band_span"] == ctx.band_span_cap() == 3
         # four stages of <= 2 blocks cover k = 6: the window is 2 wide
@@ -482,11 +468,12 @@ class TestWindowedEngine:
 
 
 class TestSearchBackends:
-    def run_backend(self, backend):
+    def run_backend(self, backend, engine):
         ctx = make_ctx(k=8, batch_size=32)
         m = MetricsRegistry()
         res = form_stage(
-            ctx, 1, 4, 32, backend=backend, metrics=m, max_workers=2
+            ctx, 1, 4, 32, backend=backend, engine=engine, metrics=m,
+            max_workers=2,
         )
         assert res is not None
         return (
@@ -499,14 +486,26 @@ class TestSearchBackends:
         )
 
     def test_backends_bit_identical(self):
-        results = {b: self.run_backend(b) for b in SEARCH_BACKENDS}
-        assert results["serial"] == results["thread"]
-        assert results["serial"] == results["process"]
+        # every engine x backend pair: same plan, counters and metrics
+        results = {
+            (b, e): self.run_backend(b, e)
+            for b in SEARCH_BACKENDS
+            for e in ENGINES
+        }
+        assert set(SEARCH_BACKENDS) == {"serial", "process"}
+        want = results[("serial", "numpy")]
+        for pair, got in results.items():
+            assert got == want, pair
 
     def test_unknown_backend_rejected(self):
         ctx = make_ctx()
         with pytest.raises(ValueError, match="unknown search backend"):
             form_stage(ctx, 1, 4, 32, backend="mpi")
+
+    def test_removed_thread_backend_rejected(self):
+        ctx = make_ctx()
+        with pytest.raises(ValueError, match="'serial', 'process'"):
+            form_stage(ctx, 1, 4, 32, backend="thread")
 
 
 # ----------------------------------------------------------------------
@@ -556,10 +555,25 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="search_backend"):
             PlannerConfig(batch_size=32, search_backend="mpi")
 
+    def test_defaults_are_banded_numpy_and_serial(self):
+        cfg = PlannerConfig(batch_size=32)
+        assert (cfg.dp_engine, cfg.search_backend) == ("numpy", "serial")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dp_engine", "numba"), ("dp_engine", "dense"),
+         ("dp_engine", "auto"), ("search_backend", "thread")],
+    )
+    def test_removed_values_rejected_with_accepted_list(self, field, value):
+        accepted = DP_ENGINES if field == "dp_engine" else SEARCH_BACKENDS
+        with pytest.raises(ValueError, match=field) as ei:
+            PlannerConfig(batch_size=32, **{field: value})
+        assert str(accepted) in str(ei.value)
+
     def test_run_mode_knobs_not_fingerprinted(self):
         base = PlannerConfig(batch_size=32)
         assert (
-            PlannerConfig(batch_size=32, dp_engine="banded").fingerprint()
+            PlannerConfig(batch_size=32, dp_engine="rows").fingerprint()
             == base.fingerprint()
         )
         assert (

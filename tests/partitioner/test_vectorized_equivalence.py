@@ -4,7 +4,8 @@ oracles.
 
 The vectorized paths must be *exactly* equal (not approximately): the
 plane builders reproduce the per-entry float64 arithmetic operation by
-operation, and both DP engines replay the reference cell ordering for
+operation, and both DP engines (banded and per-(s, b) rows) replay the
+reference cell ordering for
 ``d_min`` pruning, so every comparison below uses strict equality.
 """
 
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.partitioner.stage_dp as stage_dp_mod
 from repro.hardware import tiny_cluster
 from repro.models import build_mlp
 from repro.partitioner.atomic import atomic_partition
@@ -105,14 +105,14 @@ class TestProfileTensors:
         assert np.array_equal(TB, ref[1])
         assert np.array_equal(MEM, ref[2])
 
-    def test_tensor_and_mask_caches_reused(self):
+    def test_tensor_and_band_caches_reused(self):
         ctx = make_ctx()
         a = ctx.profile_tensors(4, 1, 2, True)
         b = ctx.profile_tensors(4, 1, 2, True)
         assert all(x is y for x, y in zip(a, b))
-        m1 = ctx._dp_tensors(4, 1, 2, True)
-        m2 = ctx._dp_tensors(4, 1, 2, True)
-        assert all(x is y for x, y in zip(m1, m2))
+        assert ctx.profile_bands(4, 1, 2, True, 3) is ctx.profile_bands(
+            4, 1, 2, True, 3
+        )
 
     def test_overridden_stage_profile_falls_back(self):
         class Doubled(DPContext):
@@ -139,11 +139,18 @@ class TestDPEngineEquivalence:
         MB=st.sampled_from([1, 2, 4, 8]),
         R=st.sampled_from([1, 2]),
     )
-    def test_full_engine_matches_reference(self, S, D, MB, R):
+    def test_banded_and_row_engines_match_reference(self, S, D, MB, R):
         ctx = make_ctx()
-        fast = form_stage_dp(ctx, S, D, 32, R, MB)
-        ref = reference_form_stage_dp(ctx, S, D, 32, R, MB)
-        assert solution_key(fast) == solution_key(ref)
+        got = {}
+        for engine in ("numpy", "rows", None):   # None: the reference
+            before = ctx.states_evaluated
+            sol = (
+                reference_form_stage_dp(ctx, S, D, 32, R, MB)
+                if engine is None
+                else form_stage_dp(ctx, S, D, 32, R, MB, engine=engine)
+            )
+            got[engine] = (solution_key(sol), ctx.states_evaluated - before)
+        assert got["numpy"] == got["rows"] == got[None]
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -159,23 +166,24 @@ class TestDPEngineEquivalence:
         ref = reference_form_stage_dp(ctx, S, 4, 32, 1, MB)
         assert solution_key(fast) == solution_key(ref)
 
-    def test_row_engine_matches_full_engine(self, monkeypatch):
-        """Forcing the per-(s, b) row engine (as used at atomic scale)
-        must not change any field of any solution."""
+    def test_row_engine_matches_banded_engine(self):
+        """Forcing the per-(s, b) row engine must not change any field
+        of any solution, nor the visited-state count."""
         expected = {}
         ctx = make_ctx()
         for S, MB in itertools.product((1, 2, 3, 4), (1, 2, 4)):
             expected[(S, MB)] = solution_key(
                 form_stage_dp(ctx, S, 4, 32, 1, MB)
             )
-        full_states = ctx.states_evaluated
+        banded_states = ctx.states_evaluated
 
-        monkeypatch.setattr(stage_dp_mod, "FULL_TENSOR_MAX_CELLS", 0)
         ctx2 = make_ctx()
         for (S, MB), want in expected.items():
-            got = solution_key(form_stage_dp(ctx2, S, 4, 32, 1, MB))
+            got = solution_key(
+                form_stage_dp(ctx2, S, 4, 32, 1, MB, engine="rows")
+            )
             assert got == want, (S, MB)
-        assert ctx2.states_evaluated == full_states
+        assert ctx2.states_evaluated == banded_states
 
     def test_dmin_pruning_reduces_states(self):
         """With tight memory the pruning must visit strictly fewer states
@@ -193,9 +201,12 @@ class TestDPEngineEquivalence:
 class TestAlgorithm2:
     def test_parallel_search_is_deterministic(self):
         serial = make_ctx(num_nodes=2, batch_size=32)
-        threaded = make_ctx(num_nodes=2, batch_size=32)
+        pooled = make_ctx(num_nodes=2, batch_size=32)
         a = form_stage(serial, 2, 4, 32, parallel=False)
-        b = form_stage(threaded, 2, 4, 32, parallel=True, max_workers=4)
+        b = form_stage(
+            pooled, 2, 4, 32, parallel=True, backend="process",
+            max_workers=2,
+        )
         assert (a is None) == (b is None)
         assert solution_key(a.solution) == solution_key(b.solution)
         assert a.num_pipeline_nodes == b.num_pipeline_nodes
@@ -203,8 +214,8 @@ class TestAlgorithm2:
         assert a.replica_factor == b.replica_factor
         assert a.candidates_tried == b.candidates_tried
         assert a.dp_calls == b.dp_calls
-        assert serial.dp_calls == threaded.dp_calls
-        assert serial.states_evaluated == threaded.states_evaluated
+        assert serial.dp_calls == pooled.dp_calls
+        assert serial.states_evaluated == pooled.states_evaluated
 
     @pytest.mark.parametrize("search_all", [True, False])
     def test_non_divisor_node_count_is_skipped(self, search_all):

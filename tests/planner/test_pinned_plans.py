@@ -9,6 +9,7 @@ and floating-point-equal iteration times -- because the flat model is
 the legacy arithmetic, expression for expression.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import pytest
 from repro.hardware import paper_cluster
 from repro.models import BertConfig, ResNetConfig, build_bert, build_resnet
 from repro.partitioner import auto_partition
-from repro.partitioner.stage_dp import DP_ENGINES
+from repro.partitioner.search import SEARCH_BACKENDS
+from repro.partitioner.stage_dp import DP_ENGINES, resolve_dp_engine
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "pinned_plans.json"
 
@@ -83,26 +85,56 @@ def test_fixture_covers_full_matrix():
     }
 
 
-# every non-default DP engine must reproduce the same pinned plans the
-# default ("numpy") engine is held to above -- the engines are different
-# evaluation strategies over one DP, not different algorithms.  "numba"
-# degrades to the banded NumPy engine when numba is absent, so this test
-# is meaningful (and identical) with or without the JIT installed.
-ENGINES = [e for e in DP_ENGINES if e != "numpy"]
+# every DP engine under every search backend must reproduce the same
+# pinned plans -- the engines are different evaluation strategies over
+# one DP and the backends different schedules of one sweep, not
+# different algorithms.  The pinned files hold the plans, so the search
+# counters are compared across backends within one engine.
+#
+# Each case is named after the engine that runs and maps to the
+# ``dp_engine`` knob value it passes: "auto" passes none and leaves the
+# choice to the planner's default, "banded" names the default knob
+# ("numpy", the banded engine on these homogeneous clusters) and "rows"
+# forces the per-(s, b) row engine.
+ENGINE_CASES = {"auto": None, "banded": "numpy", "rows": "rows"}
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+def test_engine_cases_cover_every_engine():
+    default = inspect.signature(auto_partition).parameters["dp_engine"]
+    knobs = {c: e or default.default for c, e in ENGINE_CASES.items()}
+    assert set(knobs.values()) == set(DP_ENGINES)
+    assert {c: resolve_dp_engine(e, 32, 32) for c, e in knobs.items()} == {
+        "auto": "banded", "banded": "banded", "rows": "rows"
+    }
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES)
 @pytest.mark.parametrize("key", sorted(PINNED), ids=sorted(PINNED))
-def test_every_engine_matches_pinned_plan(key, engine):
+def test_every_engine_matches_pinned_plan(key, case):
     expected = PINNED[key]
     model_name, cluster_name = key.split("/")
     build, batch_size = MODELS[model_name]
     cluster = paper_cluster(CLUSTERS[cluster_name])
+    graph = build()
+    engine = ENGINE_CASES[case]
+    knobs = {} if engine is None else {"dp_engine": engine}
 
-    plan = auto_partition(build(), cluster, batch_size, dp_engine=engine)
-
-    assert [list(s.block_range) for s in plan.stages] == expected["boundaries"]
-    assert [s.devices_per_pipeline for s in plan.stages] == expected["devices"]
-    assert plan.num_microbatches == expected["num_microbatches"]
-    assert plan.replica_factor == expected["replica_factor"]
-    assert plan.iteration_time == expected["iteration_time"]
+    counters = {}
+    for backend in SEARCH_BACKENDS:
+        plan = auto_partition(
+            graph, cluster, batch_size, search_backend=backend,
+            search_workers=2, **knobs,
+        )
+        assert [list(s.block_range) for s in plan.stages] == (
+            expected["boundaries"]
+        ), backend
+        assert [s.devices_per_pipeline for s in plan.stages] == (
+            expected["devices"]
+        ), backend
+        assert plan.num_microbatches == expected["num_microbatches"]
+        assert plan.replica_factor == expected["replica_factor"]
+        assert plan.iteration_time == expected["iteration_time"], backend
+        counters[backend] = (
+            plan.diagnostics.dp_calls, plan.diagnostics.states_evaluated
+        )
+    assert len(set(counters.values())) == 1, counters

@@ -1,6 +1,7 @@
 """End-to-end tracing through the planning pipeline: pass spans, DP
-spans/counters, cross-thread parenting under ``parallel_search``, and
-the evaluate pass's pipeline gauges."""
+spans/counters, DP spans nested under the Algorithm-2 level spans,
+counters under the process backend, and the evaluate pass's pipeline
+gauges."""
 
 from repro.hardware import paper_cluster
 from repro.planner import PlannerConfig, PlanningContext, plan_graph
@@ -63,7 +64,9 @@ class TestDPInstrumentation:
         assert snap["profiler.memo_hits"] == (
             snap["profiler.cache_hits"] + snap["profiler.table_hits"]
         )
-        assert snap["profiler.tensor_builds"] >= 1
+        # the default (banded) engine builds band planes, not the
+        # dense tensors of the row engine
+        assert snap["profiler.band_builds"] >= 1
 
 
 class TestParallelSearchTracing:
@@ -75,17 +78,16 @@ class TestParallelSearchTracing:
         dp_spans = ctx.tracer.spans("partitioner.dp")
         assert level_spans and dp_spans
         level_ids = {s.span_id for s in level_spans}
-        # every DP candidate span hangs off a search-level span, even
-        # when it ran on a pool thread
+        # every DP candidate span hangs off a search-level span through
+        # the tracer's thread-local nesting (no explicit parent ids)
         for span in dp_spans:
             assert span.parent_id in level_ids
-        # the sweep actually fanned out
-        assert len({s.thread_id for s in dp_spans}) >= 1
 
     def test_parallel_counters_match_serial(self, tiny_bert):
         serial, plan_s = run_plan(tiny_bert, parallel_search=False)
         par, plan_p = run_plan(
-            tiny_bert, parallel_search=True, search_workers=4
+            tiny_bert, parallel_search=True, search_backend="process",
+            search_workers=2,
         )
         keys = ("dp.calls", "dp.states_evaluated", "dp.infeasible")
         for key in keys:

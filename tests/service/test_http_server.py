@@ -114,6 +114,17 @@ class TestRawHTTP:
         assert status == 413
         assert doc["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"blocks": "abc"}, {"blocks": 0}, {"memory_budget_gb": "x"},
+         {"dp_engine": "numba"}],
+    )
+    def test_bad_plan_option_is_400(self, client, options):
+        with pytest.raises(ServiceHTTPError) as ei:
+            client.plan(**PARAMS, options=options)
+        assert ei.value.http_status == 400
+        assert ei.value.code == "bad_request"
+
     def test_missing_params_is_400(self, server):
         status, doc = raw_request(
             server, "POST", "/v1/plan", body=b"{}",

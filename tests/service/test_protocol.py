@@ -145,6 +145,48 @@ class TestBuildConfig:
         assert "blokcs" in str(ei.value)
         assert "blocks" in str(ei.value)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"blocks": "abc"},
+            {"blocks": 0},
+            {"blocks": -2},
+            {"blocks": None},
+            {"blocks": float("inf")},
+            {"max_microbatches": 0},
+            {"max_microbatches": "many"},
+            {"memory_budget_gb": "x"},
+            {"memory_budget_gb": 0},
+            {"memory_budget_gb": -1.5},
+            {"memory_budget_gb": float("nan")},
+            {"memory_budget_gb": float("inf")},
+        ],
+    )
+    def test_bad_numeric_option_is_a_bad_request(self, options):
+        with pytest.raises(ServiceError) as ei:
+            build_config({"batch_size": 32, "options": options})
+        assert ei.value.code == "bad_request"
+        assert ei.value.status == 400
+        assert next(iter(options)) in str(ei.value) or "must be" in str(
+            ei.value
+        )
+
+    @pytest.mark.parametrize(
+        "name,value,accepted",
+        [
+            ("dp_engine", "numba", "'numpy', 'rows'"),
+            ("dp_engine", "dense", "'numpy', 'rows'"),
+            ("search_backend", "thread", "'serial', 'process'"),
+        ],
+    )
+    def test_removed_knob_value_names_the_accepted_values(
+        self, name, value, accepted
+    ):
+        with pytest.raises(ServiceError) as ei:
+            build_config({"batch_size": 32, "options": {name: value}})
+        assert ei.value.code == "bad_request"
+        assert value in str(ei.value) and accepted in str(ei.value)
+
 
 class TestNormalize:
     def test_missing_model_or_cluster(self):

@@ -180,6 +180,39 @@ class TestCLI:
         validate_graph(graph)
         assert graph.name == "gpt_h1024_l24"
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--blocks", "0", "must be >= 1"),
+            ("--blocks", "-2", "must be >= 1"),
+            ("--blocks", "abc", "invalid int value"),
+            ("--memory-budget-gb", "x", "must be a positive finite"),
+            ("--memory-budget-gb", "0", "must be a positive finite"),
+            ("--memory-budget-gb", "nan", "must be a positive finite"),
+            ("--dp-engine", "dense", "invalid choice"),
+            ("--dp-engine", "numba", "invalid choice"),
+            ("--search-backend", "thread", "invalid choice"),
+        ],
+    )
+    def test_plan_rejects_bad_flag_values(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--model", "bert", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
+        assert "Traceback" not in err
+
+    def test_plan_knob_choices_come_from_the_config(self, capsys):
+        from repro.partitioner.search import SEARCH_BACKENDS
+        from repro.partitioner.stage_dp import DP_ENGINES
+
+        for flag, accepted in (("--dp-engine", DP_ENGINES),
+                               ("--search-backend", SEARCH_BACKENDS)):
+            with pytest.raises(SystemExit):
+                main(["plan", flag, "nope"])
+            err = capsys.readouterr().err
+            assert ", ".join(repr(v) for v in accepted) in err
+
     @pytest.mark.parametrize("value", ["0", "-4"])
     def test_plan_rejects_non_positive_batch_size(self, capsys, value):
         with pytest.raises(SystemExit) as exc:
