@@ -22,40 +22,48 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.hardware import Precision, paper_cluster
-from repro.models import BertConfig, GPTConfig, ResNetConfig
-from repro.models import build_bert, build_gpt, build_resnet
-from repro.partitioner import PartitioningError, auto_partition
+from repro.hardware import Precision
+from repro.partitioner import PartitioningError
 from repro.partitioner.search import SEARCH_BACKENDS
 from repro.partitioner.stage_dp import DP_ENGINES
+from repro.service import protocol
+from repro.service.protocol import ServiceError
 
-#: named model presets accepted wherever --model takes a value
-MODEL_PRESETS = (
-    "bert", "resnet", "gpt",
-    "bert-base", "bert-large",
-    "gpt-tiny", "gpt-small", "gpt-medium",
-)
-
-#: --cluster shorthand -> number of 8-V100 nodes
-CLUSTER_PRESETS = {"v100x8": 1, "v100x16": 2, "v100x32": 4}
+#: --model values: the families the shape flags describe, then the
+#: service protocol's named presets
+MODEL_CHOICES = ("bert", "resnet", "gpt") + protocol.MODEL_PRESETS
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (a bad value
-    exits 2 with a usage message instead of a traceback)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int, high: Optional[int] = None):
+    """argparse type for an int in ``[low, high]`` (a bad value exits 2
+    with a usage message instead of a traceback)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {high}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+_port = _int_at_least(0, 65535)
 
 
 def _positive_float(text: str) -> float:
@@ -71,13 +79,97 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _add_partition(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("partition", help="auto-partition one model")
-    p.add_argument("--model", choices=("bert", "resnet", "gpt"), default="bert")
+def _repair_event(text: str) -> Dict[str, Any]:
+    """argparse type: ``node-loss:IDX`` / ``preemption:IDX`` /
+    ``scale-up:N`` -> a protocol event document."""
+    kind, _, arg = text.partition(":")
+    if not arg:
+        raise argparse.ArgumentTypeError(
+            f"needs KIND:ARG, e.g. 'node-loss:1' (got {text!r})"
+        )
+    kind = kind.replace("-", "_").lower()
+    field = "extra_nodes" if kind == "scale_up" else "node_index"
+    return {"type": kind, field: arg}
+
+
+def _model_flags(default: str) -> argparse.ArgumentParser:
+    """The model flags of partition/plan/trace/verify, as a parent
+    parser.  A fresh one per subcommand: parents share their actions,
+    so one shared instance could not keep per-command defaults."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--model", choices=MODEL_CHOICES, default=default,
+                   help="model family (shaped by the flags below) or a "
+                        "named preset")
     p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
     p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
     p.add_argument("--depth", type=int, default=50, help="ResNet depth")
     p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
+    return p
+
+
+def _mib(value: Optional[int]) -> Optional[int]:
+    return value * 2**20 if value is not None else None
+
+
+def _bad_input(message: Any) -> int:
+    """Reject bad input: one line on stderr, exit 2, no traceback."""
+    print(f"ERROR: {message}", file=sys.stderr)
+    return 2
+
+
+def _model_spec(args: argparse.Namespace) -> Dict[str, Any]:
+    """``--model`` and its shape flags as a protocol model spec."""
+    if args.model in protocol.MODEL_PRESETS:
+        return {"preset": args.model}
+    if args.model == "resnet":
+        return {"family": "resnet", "depth": args.depth,
+                "width_factor": args.width_factor}
+    return {"family": args.model, "hidden": args.hidden,
+            "layers": args.layers}
+
+
+def _cluster_spec(args: argparse.Namespace) -> Dict[str, Any]:
+    """``--cluster``, or ``--nodes`` plus ``--a100-nodes``/``--straggler``,
+    as a protocol cluster spec."""
+    if getattr(args, "cluster", None) is not None:
+        return {"preset": args.cluster}
+    if getattr(args, "a100_nodes", 0):
+        # the V100 class comes first: it stays the profiling reference
+        return {"classes": [
+            {"name": "v100", "device": "v100", "nodes": args.nodes,
+             "straggler_factor": args.straggler},
+            {"name": "a100", "device": "a100", "nodes": args.a100_nodes},
+        ]}
+    return {"nodes": args.nodes}
+
+
+def _build_graph(args: argparse.Namespace):
+    """The task graph the model flags describe."""
+    return protocol.build_model(_model_spec(args))[0]
+
+
+def _plan_request(
+    args: argparse.Namespace,
+    cache_dir: Optional[str] = None,
+    cache_budget_bytes: Optional[int] = None,
+    **options: Any,
+) -> protocol.PlanRequest:
+    """Graph, cluster and config of a planning command, normalized by
+    the service protocol exactly as the daemon normalizes a request."""
+    doc = {
+        "model": _model_spec(args),
+        "cluster": _cluster_spec(args),
+        "batch_size": args.batch_size,
+        "options": {"blocks": args.blocks, "amp": args.amp, **options},
+    }
+    return protocol.normalize_plan_request(
+        doc, cache_dir=cache_dir, cache_budget_bytes=cache_budget_bytes
+    )
+
+
+def _add_partition(sub: argparse._SubParsersAction) -> None:
+    p = sub.add_parser("partition", parents=[_model_flags("bert")],
+                       help="auto-partition one model")
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
@@ -90,13 +182,9 @@ def _add_partition(sub: argparse._SubParsersAction) -> None:
 def _add_plan(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "plan",
+        parents=[_model_flags("bert")],
         help="run the pass-based planning pipeline on one model",
     )
-    p.add_argument("--model", choices=("bert", "resnet", "gpt"), default="bert")
-    p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
-    p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
-    p.add_argument("--depth", type=int, default=50, help="ResNet depth")
-    p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--amp", action="store_true", help="mixed precision")
@@ -111,7 +199,7 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--memory-budget-gb", type=_positive_float, default=None,
                    help="cap the per-device memory the stage search may "
                         "fill (GiB); default: hardware capacity")
-    p.add_argument("--cache-budget-mb", type=int, default=None,
+    p.add_argument("--cache-budget-mb", type=_non_negative_int, default=None,
                    help="LRU byte budget of the on-disk cache (MiB), "
                         "deployments + artifacts; default: unbounded")
     p.add_argument("--comm-model", choices=("flat", "topology"),
@@ -119,7 +207,7 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
                    help="communication cost model: 'flat' is the paper's "
                         "two-scalar closed forms, 'topology' routes every "
                         "transfer over the link-level network model")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_positive_int, default=None,
                    help="Algorithm-2 worker-pool size (default: CPU "
                         "count, capped at the candidate count)")
     p.add_argument("--dp-engine", choices=DP_ENGINES, default="numpy",
@@ -130,14 +218,15 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
                    default="serial",
                    help="Algorithm-2 sweep: 'serial' (default) or "
                         "'process' (a process pool for large graphs)")
-    p.add_argument("--a100-nodes", type=int, default=0,
+    p.add_argument("--a100-nodes", type=_non_negative_int, default=0,
                    help="add this many 8-A100 nodes, making the cluster "
                         "heterogeneous (--nodes keeps counting the V100 "
-                        "nodes; forces the flat comm model)")
+                        "nodes; needs the flat comm model)")
     p.add_argument("--straggler", type=float, default=1.0,
                    help="slowdown factor of the V100 class in a "
                         "heterogeneous cluster (with --a100-nodes)")
-    p.add_argument("--repair", type=str, default=None, metavar="EVENT",
+    p.add_argument("--repair", type=_repair_event, default=None,
+                   metavar="EVENT",
                    help="after planning, repair the plan for a cluster "
                         "event: 'node-loss:IDX', 'preemption:IDX' or "
                         "'scale-up:N'")
@@ -152,18 +241,12 @@ def _add_plan(sub: argparse._SubParsersAction) -> None:
 def _add_trace(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "trace",
+        parents=[_model_flags("bert-base")],
         help="plan a model with tracing on and export a Perfetto "
              "trace.json (planner spans + DP counters + one track per "
              "pipeline stage)",
     )
-    p.add_argument("--model", choices=MODEL_PRESETS, default="bert-base",
-                   help="model family, or a named preset (bert-base, "
-                        "bert-large)")
-    p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
-    p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
-    p.add_argument("--depth", type=int, default=50, help="ResNet depth")
-    p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
-    p.add_argument("--cluster", choices=sorted(CLUSTER_PRESETS),
+    p.add_argument("--cluster", choices=sorted(protocol.CLUSTER_PRESETS),
                    default="v100x32",
                    help="testbed preset (number of 8-V100 nodes)")
     p.add_argument("--batch-size", type=_positive_int, default=256)
@@ -180,20 +263,15 @@ def _add_trace(sub: argparse._SubParsersAction) -> None:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import write_chrome_trace, write_jsonl
     from repro.pipeline.timeline import plan_timeline
-    from repro.planner import PlannerConfig, PlanningContext, plan_graph
+    from repro.planner import PlanningContext, plan_graph
 
-    graph = _build_graph(args)
-    cluster = paper_cluster(num_nodes=CLUSTER_PRESETS[args.cluster])
-    precision = Precision.AMP if args.amp else Precision.FP32
-    config = PlannerConfig(
-        batch_size=args.batch_size,
-        precision=precision,
-        num_blocks=args.blocks,
-        trace=True,
-    )
+    req = _plan_request(args)
+    graph, cluster = req.graph, req.cluster
+    config = dataclasses.replace(req.config, trace=True)
     ctx = PlanningContext(graph, cluster, config)
     print(f"{graph}  on {cluster.total_devices} devices "
-          f"({args.cluster}), BS={args.batch_size}, {precision.value}")
+          f"({args.cluster}), BS={args.batch_size}, "
+          f"{config.precision.value}")
     try:
         plan = plan_graph(graph, cluster, config, context=ctx)
     except PartitioningError as exc:
@@ -230,16 +308,16 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
              "delta replanning; see docs/SERVICE.md)",
     )
     p.add_argument("--host", type=str, default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8321,
+    p.add_argument("--port", type=_port, default=8321,
                    help="listen port (0 picks a free port)")
     p.add_argument("--cache-dir", type=str, default=None,
                    help="shared on-disk cache root (deployments + "
                         "artifacts); omit for a memory-only store")
-    p.add_argument("--cache-budget-mb", type=int, default=None,
+    p.add_argument("--cache-budget-mb", type=_non_negative_int, default=None,
                    help="LRU byte budget of the on-disk cache (MiB)")
-    p.add_argument("--store-budget-mb", type=int, default=None,
+    p.add_argument("--store-budget-mb", type=_non_negative_int, default=None,
                    help="byte budget of the in-memory artifact tier (MiB)")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_positive_int, default=2,
                    help="pipeline thread-pool size (distinct-model "
                         "requests that can plan concurrently)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
@@ -258,14 +336,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout=args.drain_timeout,
         trace_out=args.trace_out,
         cache_dir=args.cache_dir,
-        cache_budget_bytes=(
-            args.cache_budget_mb * 2**20
-            if args.cache_budget_mb is not None else None
-        ),
-        store_memory_budget_bytes=(
-            args.store_budget_mb * 2**20
-            if args.store_budget_mb is not None else None
-        ),
+        cache_budget_bytes=_mib(args.cache_budget_mb),
+        store_memory_budget_bytes=_mib(args.store_budget_mb),
         workers=args.workers,
     )
 
@@ -282,7 +354,7 @@ def _add_serve_sim(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--model", default="gpt-tiny",
                    help="model preset (bert-base, bert-large, gpt-tiny, "
                         "gpt-small, gpt-medium)")
-    p.add_argument("--cluster", choices=sorted(CLUSTER_PRESETS),
+    p.add_argument("--cluster", choices=sorted(protocol.CLUSTER_PRESETS),
                    default="v100x8",
                    help="testbed preset (number of 8-V100 nodes)")
     p.add_argument("--rps", type=float, default=50.0,
@@ -309,7 +381,6 @@ def _add_serve_sim(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
-    from repro.service.protocol import ServiceError
     from repro.serving import run_serving_sim
 
     try:
@@ -326,12 +397,13 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
             workload_trace=args.workload_trace,
             trace_out=args.trace_out,
         )
-    except ServiceError as exc:
-        print(f"ERROR: {exc}")
-        return 2
     except PartitioningError as exc:
         print(f"INFEASIBLE: {exc}")
         return 1
+    except ValueError as exc:
+        # the simulator's range checks (rate, duration, SLO, ...) and
+        # malformed workload-trace lines
+        return _bad_input(exc)
     plan = summary["plan"]
     workload = summary["workload"]
     latency = summary["latency_ms"]
@@ -372,16 +444,12 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 def _add_verify(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser(
         "verify",
+        parents=[_model_flags("bert")],
         help="verify a saved deployment JSON against a model + cluster "
              "(static invariants + differential re-simulation)",
     )
     p.add_argument("plan", help="deployment JSON written by "
                                 "'repro plan/partition --save'")
-    p.add_argument("--model", choices=MODEL_PRESETS, default="bert")
-    p.add_argument("--hidden", type=int, default=1024, help="BERT/GPT hidden size")
-    p.add_argument("--layers", type=int, default=24, help="BERT/GPT layer count")
-    p.add_argument("--depth", type=int, default=50, help="ResNet depth")
-    p.add_argument("--width-factor", type=int, default=8, help="ResNet width factor")
     p.add_argument("--nodes", type=int, default=4)
     p.add_argument("--amp", action="store_true", help="mixed precision")
 
@@ -399,7 +467,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"FAIL: cannot read {args.plan}: {exc}")
         return 1
     graph = _build_graph(args)
-    cluster = paper_cluster(num_nodes=args.nodes)
+    cluster, _ = protocol.build_cluster(_cluster_spec(args))
     try:
         plan = plan_from_json(text, graph, cluster)
     except PlanVerificationError as exc:
@@ -418,90 +486,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_graph(args: argparse.Namespace):
-    # the service's preset table, imported here so the CLI's start-up
-    # does not pay for the daemon modules
-    from repro.service.protocol import GPT_PRESETS
-
-    if args.model == "bert-base":
-        return build_bert(BertConfig(hidden_size=768, num_layers=12,
-                                     num_heads=12))
-    if args.model == "bert-large":
-        return build_bert(BertConfig())
-    if args.model == "bert":
-        return build_bert(BertConfig(hidden_size=args.hidden,
-                                     num_layers=args.layers))
-    if args.model in GPT_PRESETS:
-        return build_gpt(GPTConfig(**GPT_PRESETS[args.model]))
-    if args.model == "gpt":
-        # heads must divide hidden: 64-wide heads, as the service derives
-        return build_gpt(GPTConfig(hidden_size=args.hidden,
-                                   num_layers=args.layers,
-                                   num_heads=max(1, args.hidden // 64)))
-    return build_resnet(ResNetConfig(depth=args.depth,
-                                     width_factor=args.width_factor))
-
-
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.planner import (
-        ArtifactStore,
-        PlannerConfig,
-        PlanningContext,
-        plan_graph,
-    )
+    from repro.planner import ArtifactStore, PlanningContext, plan_graph
 
     if args.delta and args.cache_dir is None:
-        print("ERROR: --delta needs --cache-dir (the artifacts persist "
-              "under <cache-dir>/artifacts/)")
-        return 2
+        return _bad_input("--delta needs --cache-dir (the artifacts "
+                          "persist under <cache-dir>/artifacts/)")
     event = None
     if args.repair is not None:
-        try:
-            event = _parse_repair_event(args.repair)
-        except ValueError as exc:
-            print(f"ERROR: {exc}")
-            return 2
-    graph = _build_graph(args)
-    if args.a100_nodes > 0:
-        from repro.hardware import mixed_cluster
-
-        if args.comm_model != "flat":
-            print("ERROR: heterogeneous clusters support only the flat "
-                  "comm model")
-            return 2
-        cluster = mixed_cluster(
-            v100_nodes=args.nodes,
-            a100_nodes=args.a100_nodes,
-            straggler_factor=args.straggler,
-        )
-    else:
-        cluster = paper_cluster(num_nodes=args.nodes)
-    precision = Precision.AMP if args.amp else Precision.FP32
-    config = PlannerConfig(
-        batch_size=args.batch_size,
-        precision=precision,
-        num_blocks=args.blocks,
+        event = protocol.parse_event(args.repair)
+    options = {
+        "comm_model": args.comm_model,
+        "dp_engine": args.dp_engine,
+        "search_backend": args.search_backend,
+    }
+    if args.memory_budget_gb is not None:
+        options["memory_budget_gb"] = args.memory_budget_gb
+    req = _plan_request(
+        args,
         cache_dir=args.cache_dir,
-        comm_model=args.comm_model,
-        memory_budget=(
-            args.memory_budget_gb * 2**30
-            if args.memory_budget_gb is not None else None
-        ),
-        cache_budget_bytes=(
-            args.cache_budget_mb * 2**20
-            if args.cache_budget_mb is not None else None
-        ),
-        search_workers=args.workers,
-        search_backend=args.search_backend,
-        dp_engine=args.dp_engine,
+        cache_budget_bytes=_mib(args.cache_budget_mb),
+        **options,
     )
+    graph, cluster = req.graph, req.cluster
+    config = dataclasses.replace(req.config, search_workers=args.workers)
     ctx = PlanningContext(graph, cluster, config)
     if args.delta:
         # the context lends the store its disk backend, so artifacts
         # written by earlier --delta runs are picked up across processes
         ctx.attach_store(ArtifactStore())
     print(f"{graph}  on {cluster.total_devices} devices, "
-          f"BS={args.batch_size}, {precision.value}, "
+          f"BS={args.batch_size}, {config.precision.value}, "
           f"comm={args.comm_model}"
           + (", delta replan" if args.delta else ""))
     try:
@@ -541,30 +556,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             fh.write(plan_to_json(plan, graph))
         print(f"deployment written to {args.save}")
     return 0
-
-
-def _parse_repair_event(spec: str):
-    """``node-loss:IDX`` / ``preemption:IDX`` / ``scale-up:N`` -> event."""
-    from repro.planner import NodeLoss, Preemption, ScaleUp
-
-    kind, _, arg = spec.partition(":")
-    kind = kind.replace("_", "-").lower()
-    if not arg:
-        raise ValueError(
-            f"--repair needs an argument, e.g. 'node-loss:1' "
-            f"(got {spec!r})"
-        )
-    value = int(arg)
-    if kind == "node-loss":
-        return NodeLoss(node_index=value)
-    if kind == "preemption":
-        return Preemption(node_index=value)
-    if kind == "scale-up":
-        return ScaleUp(extra_nodes=value)
-    raise ValueError(
-        f"unknown repair event {kind!r}; expected node-loss, "
-        f"preemption or scale-up"
-    )
 
 
 def _render_events(ctx) -> str:
@@ -631,14 +622,14 @@ def _render_events(ctx) -> str:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    graph = _build_graph(args)
-    cluster = paper_cluster(num_nodes=args.nodes)
-    precision = Precision.AMP if args.amp else Precision.FP32
+    from repro.planner import plan_graph
+
+    req = _plan_request(args)
+    graph, cluster = req.graph, req.cluster
     print(f"{graph}  on {cluster.total_devices} devices, BS={args.batch_size}, "
-          f"{precision.value}")
+          f"{req.config.precision.value}")
     try:
-        plan = auto_partition(graph, cluster, args.batch_size,
-                              precision=precision, num_blocks=args.blocks)
+        plan = plan_graph(graph, cluster, req.config)
     except PartitioningError as exc:
         print(f"INFEASIBLE: {exc}")
         return 1
@@ -748,10 +739,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     pab = sub.add_parser("ablation", help="Sec. IV-C coarsening ablation")
     pab.add_argument("--fast", action="store_true")
     plv = sub.add_parser("loss-validation", help="Sec. IV-B loss validation")
-    plv.add_argument("--steps", type=int, default=10)
+    plv.add_argument("--steps", type=_positive_int, default=10)
     psc = sub.add_parser("schedule", help="render a pipeline schedule (Fig. 1)")
-    psc.add_argument("--stages", type=int, default=4)
-    psc.add_argument("--microbatches", type=int, default=8)
+    psc.add_argument("--stages", type=_positive_int, default=4)
+    psc.add_argument("--microbatches", type=_positive_int, default=8)
 
     args = parser.parse_args(argv)
     handler = {
@@ -768,7 +759,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "loss-validation": _cmd_loss_validation,
         "schedule": _cmd_schedule,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ServiceError as exc:
+        # a model, cluster, config or event the protocol rejected
+        return _bad_input(exc)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -157,7 +157,6 @@ def _solve_candidates(
     D: int,
     batch_size: int,
     R: int,
-    parallel: bool,
     max_workers: Optional[int],
     backend: str = "serial",
     engine: str = "numpy",
@@ -178,7 +177,7 @@ def _solve_candidates(
             f"expected one of {SEARCH_BACKENDS}"
         )
     workers = max_workers or min(len(pairs), os.cpu_count() or 1)
-    if not parallel or backend == "serial" or len(pairs) <= 1 or workers <= 1:
+    if backend == "serial" or len(pairs) <= 1 or workers <= 1:
         # A one-worker process pool would pay fork + context-pickle cost
         # for zero concurrency (e.g. single-core hosts), so it degrades
         # to the serial sweep -- same results, counters and plan.
@@ -201,7 +200,6 @@ def form_stage(
     batch_size: int,
     max_microbatches: Optional[int] = None,
     search_all_stage_counts: bool = True,
-    parallel: bool = True,
     max_workers: Optional[int] = None,
     backend: str = "serial",
     engine: str = "numpy",
@@ -222,10 +220,6 @@ def form_stage(
             estimated iteration time wins.  The strict reading can return
             a pipeline several stages shorter than optimal (see DESIGN.md,
             deviation D2); both modes are tested.
-        parallel: allow the ``"process"`` backend to evaluate the
-            independent ``(S, MB)`` DP candidates of a level on a worker
-            pool (deterministic: same plan and counters as the serial
-            sweep); ``False`` forces a serial sweep.
         max_workers: worker-pool size (default: CPU count, capped at the
             candidate count).
         backend: one of :data:`SEARCH_BACKENDS` -- ``"serial"``
@@ -297,7 +291,7 @@ def form_stage(
 
         def run_level(pairs: List[Tuple[int, int]]) -> List[DPSolution]:
             results = _solve_candidates(
-                ctx, pairs, D, batch_size, R, parallel, max_workers,
+                ctx, pairs, D, batch_size, R, max_workers,
                 backend=backend, engine=engine,
                 tracer=tracer, metrics=metrics,
             )

@@ -37,8 +37,8 @@ class PlannerConfig:
     The fields mirror the historical ``auto_partition`` keyword
     arguments; :meth:`fingerprint` hashes the plan-determining subset so
     the deployment cache can key on it (``validate``, ``verify``,
-    ``cache_dir``, ``parallel_search``, ``search_workers``,
-    ``search_backend``, ``dp_engine`` and ``trace`` change how the
+    ``cache_dir``, ``search_workers``, ``search_backend``,
+    ``dp_engine`` and ``trace`` change how the
     pipeline runs, not what plan it produces, and are excluded -- the
     parallel Algorithm-2 sweep and every DP engine are bit-identical by
     construction, and tracing/verification only record or check what
@@ -50,12 +50,13 @@ class PlannerConfig:
     banding cannot run (heterogeneous clusters), and ``"rows"`` forces
     the row engine.  ``search_backend`` selects the Algorithm-2 sweep
     (:data:`~repro.partitioner.search.SEARCH_BACKENDS`): ``"serial"``
-    (default) or ``"process"`` for a process pool on large graphs.  Both
-    are run-mode knobs: every combination produces bit-identical plans
-    and counters.
+    (default) or ``"process"`` for a process pool on large graphs
+    (read back as :attr:`parallel_search`).  Both are run-mode knobs:
+    every combination produces bit-identical plans and counters.
 
-    ``num_blocks`` and ``max_microbatches`` (when set) must be at least
-    1, and ``memory_budget`` (when set) a positive finite byte count;
+    ``num_blocks``, ``max_microbatches`` and ``search_workers`` (when
+    set) must be at least 1, ``memory_budget`` (when set) a positive
+    finite byte count, and ``cache_budget_bytes`` (when set) at least 0;
     anything else raises :class:`ValueError`.
 
     ``trace`` turns on fine-grained span recording (per-candidate
@@ -113,7 +114,6 @@ class PlannerConfig:
     verify: bool = True
     schedule: str = "sync"
     cache_dir: Optional[Union[str, Path]] = None
-    parallel_search: bool = True
     search_workers: Optional[int] = None
     search_backend: str = "serial"
     dp_engine: str = "numpy"
@@ -149,6 +149,15 @@ class PlannerConfig:
             raise ValueError(
                 f"max_microbatches must be >= 1, got {self.max_microbatches}"
             )
+        if self.search_workers is not None and self.search_workers < 1:
+            raise ValueError(
+                f"search_workers must be >= 1, got {self.search_workers}"
+            )
+        if self.cache_budget_bytes is not None and self.cache_budget_bytes < 0:
+            raise ValueError(
+                f"cache_budget_bytes must be >= 0, "
+                f"got {self.cache_budget_bytes}"
+            )
         if self.memory_budget is not None and not (
             math.isfinite(self.memory_budget) and self.memory_budget > 0
         ):
@@ -156,6 +165,11 @@ class PlannerConfig:
                 f"memory_budget must be a positive finite byte count, "
                 f"got {self.memory_budget}"
             )
+
+    @property
+    def parallel_search(self) -> bool:
+        """Whether the Algorithm-2 sweep runs on a worker pool."""
+        return self.search_backend == "process"
 
     def fingerprint(self) -> str:
         """Stable content hash of the plan-determining fields."""

@@ -174,7 +174,6 @@ class StageSearchPass(PlannerPass):
             devices_per_node=ctx.cluster.devices_per_node,
             batch_size=ctx.config.batch_size,
             max_microbatches=ctx.config.max_microbatches,
-            parallel=ctx.config.parallel_search,
             max_workers=ctx.config.search_workers,
             backend=ctx.config.search_backend,
             engine=ctx.config.dp_engine,

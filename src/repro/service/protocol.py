@@ -12,7 +12,9 @@ carrying the built graph, cluster and :class:`PlannerConfig`, plus the
 request *fingerprint* (graph content + cluster shape + plan-determining
 config) that keys coalescing and cache lookups.  The engine
 (:mod:`repro.service.engine`) never re-parses JSON, and the HTTP front
-end (:mod:`repro.service.server`) never builds graphs.
+end (:mod:`repro.service.server`) never builds graphs.  The ``repro``
+CLI maps its flags onto the same documents, so both front doors share
+one set of presets, builders and input checks.
 
 See ``docs/SERVICE.md`` for the endpoint-by-endpoint reference with
 request/response examples and the full error-code table.
@@ -429,6 +431,11 @@ def normalize_plan_request(
         cache_dir=cache_dir,
         cache_budget_bytes=cache_budget_bytes,
     )
+    if cluster.device_classes and config.comm_model not in (None, "flat"):
+        raise ServiceError(
+            "bad_request",
+            "heterogeneous clusters support only the flat comm model",
+        )
     from repro.partitioner.deployment import graph_fingerprint
 
     model_key = graph_fingerprint(graph)

@@ -570,6 +570,26 @@ class TestConfigKnobs:
             PlannerConfig(batch_size=32, **{field: value})
         assert str(accepted) in str(ei.value)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("search_workers", 0), ("search_workers", -3),
+         ("cache_budget_bytes", -1)],
+    )
+    def test_out_of_range_run_mode_knobs_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PlannerConfig(batch_size=32, **{field: value})
+
+    def test_zero_cache_budget_is_accepted(self):
+        assert PlannerConfig(batch_size=32, cache_budget_bytes=0)
+
+    def test_parallel_search_reads_the_backend(self):
+        assert PlannerConfig(batch_size=32).parallel_search is False
+        assert PlannerConfig(
+            batch_size=32, search_backend="process"
+        ).parallel_search is True
+        with pytest.raises(TypeError):
+            PlannerConfig(batch_size=32, parallel_search=True)
+
     def test_run_mode_knobs_not_fingerprinted(self):
         base = PlannerConfig(batch_size=32)
         assert (

@@ -202,11 +202,8 @@ class TestAlgorithm2:
     def test_parallel_search_is_deterministic(self):
         serial = make_ctx(num_nodes=2, batch_size=32)
         pooled = make_ctx(num_nodes=2, batch_size=32)
-        a = form_stage(serial, 2, 4, 32, parallel=False)
-        b = form_stage(
-            pooled, 2, 4, 32, parallel=True, backend="process",
-            max_workers=2,
-        )
+        a = form_stage(serial, 2, 4, 32, backend="serial")
+        b = form_stage(pooled, 2, 4, 32, backend="process", max_workers=2)
         assert (a is None) == (b is None)
         assert solution_key(a.solution) == solution_key(b.solution)
         assert a.num_pipeline_nodes == b.num_pipeline_nodes

@@ -1,4 +1,4 @@
-"""``PartitionPlan.extras`` is deprecated in favor of ``diagnostics``."""
+"""Reading ``plan.diagnostics`` raises no deprecation warning."""
 
 import warnings
 
@@ -15,17 +15,6 @@ def plan():
         BertConfig(hidden_size=256, num_layers=4, num_heads=8)
     )
     return auto_partition(graph, paper_cluster(1), 64)
-
-
-def test_extras_warns(plan):
-    with pytest.warns(DeprecationWarning, match="plan.diagnostics"):
-        plan.extras
-
-
-def test_extras_still_returns_the_flat_view(plan):
-    with pytest.warns(DeprecationWarning):
-        flat = plan.extras
-    assert flat == plan.diagnostics.as_dict()
 
 
 def test_diagnostics_access_does_not_warn(plan):

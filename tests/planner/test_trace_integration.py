@@ -71,9 +71,7 @@ class TestDPInstrumentation:
 
 class TestParallelSearchTracing:
     def test_cross_thread_parenting(self, tiny_bert):
-        ctx, _ = run_plan(
-            tiny_bert, trace=True, parallel_search=True, search_workers=4
-        )
+        ctx, _ = run_plan(tiny_bert, trace=True, search_workers=4)
         level_spans = ctx.tracer.spans("partitioner.search")
         dp_spans = ctx.tracer.spans("partitioner.dp")
         assert level_spans and dp_spans
@@ -84,10 +82,9 @@ class TestParallelSearchTracing:
             assert span.parent_id in level_ids
 
     def test_parallel_counters_match_serial(self, tiny_bert):
-        serial, plan_s = run_plan(tiny_bert, parallel_search=False)
+        serial, plan_s = run_plan(tiny_bert, search_backend="serial")
         par, plan_p = run_plan(
-            tiny_bert, parallel_search=True, search_backend="process",
-            search_workers=2,
+            tiny_bert, search_backend="process", search_workers=2,
         )
         keys = ("dp.calls", "dp.states_evaluated", "dp.infeasible")
         for key in keys:

@@ -125,6 +125,18 @@ class TestRawHTTP:
         assert ei.value.http_status == 400
         assert ei.value.code == "bad_request"
 
+    def test_heterogeneous_topology_plan_is_400(self, client):
+        classes = {"classes": [
+            {"name": "v100", "device": "v100", "nodes": 1},
+            {"name": "a100", "device": "a100", "nodes": 1},
+        ]}
+        with pytest.raises(ServiceHTTPError) as ei:
+            client.plan(model=MODEL, cluster=classes, batch_size=64,
+                        options={"comm_model": "topology"})
+        assert ei.value.http_status == 400
+        assert ei.value.code == "bad_request"
+        assert "flat comm model" in str(ei.value)
+
     def test_missing_params_is_400(self, server):
         status, doc = raw_request(
             server, "POST", "/v1/plan", body=b"{}",

@@ -315,3 +315,22 @@ class TestHeterogeneousCluster:
         slowed["classes"][0]["straggler_factor"] = 2.0
         b = normalize_plan_request(plan_params(cluster=slowed))
         assert a.key != b.key
+
+    @pytest.mark.parametrize("comm_model", [None, "flat"])
+    def test_flat_comm_model_is_accepted(self, comm_model):
+        options = {} if comm_model is None else {"comm_model": comm_model}
+        req = normalize_plan_request(
+            plan_params(cluster=dict(self.CLASSES), options=options)
+        )
+        assert req.cluster.is_heterogeneous
+
+    def test_topology_comm_model_is_bad_request(self):
+        with pytest.raises(ServiceError) as ei:
+            normalize_plan_request(
+                plan_params(
+                    cluster=dict(self.CLASSES),
+                    options={"comm_model": "topology"},
+                )
+            )
+        assert ei.value.code == "bad_request"
+        assert "only the flat comm model" in str(ei.value)

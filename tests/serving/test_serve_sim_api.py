@@ -117,4 +117,4 @@ class TestServeSimCLI:
             "serve-sim", "--model", "nope", "--cluster", "v100x8",
         ])
         assert rc == 2
-        assert "ERROR" in capsys.readouterr().out
+        assert "ERROR" in capsys.readouterr().err

@@ -221,3 +221,309 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "--batch-size" in err and "must be >= 1" in err
         assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# the CLI builds its inputs through the service protocol; these pin the
+# results to the direct constructions the CLI used before
+
+
+def legacy_graph(model, hidden=1024, layers=24, depth=50, width_factor=8):
+    """The graph each --model value built by hand before the CLI went
+    through ``repro.service.protocol``."""
+    from repro.models import (
+        BertConfig, GPTConfig, ResNetConfig,
+        build_bert, build_gpt, build_resnet,
+    )
+
+    if model == "bert-base":
+        return build_bert(BertConfig(hidden_size=768, num_layers=12,
+                                     num_heads=12))
+    if model == "bert-large":
+        return build_bert(BertConfig())
+    if model == "bert":
+        return build_bert(BertConfig(hidden_size=hidden, num_layers=layers))
+    if model == "gpt-tiny":
+        return build_gpt(GPTConfig(hidden_size=256, num_layers=4,
+                                   num_heads=4, seq_len=256,
+                                   vocab_size=8192))
+    if model == "gpt-small":
+        return build_gpt(GPTConfig())
+    if model == "gpt-medium":
+        return build_gpt(GPTConfig(hidden_size=1024, num_layers=24,
+                                   num_heads=16))
+    if model == "gpt":
+        return build_gpt(GPTConfig(hidden_size=hidden, num_layers=layers,
+                                   num_heads=max(1, hidden // 64)))
+    return build_resnet(ResNetConfig(depth=depth, width_factor=width_factor))
+
+
+def parse(argv):
+    """Parse one command line with the CLI's own parser (no run)."""
+    from unittest import mock
+
+    captured = {}
+
+    def stop(args):
+        captured["args"] = args
+        return 0
+
+    with mock.patch.multiple(
+        "repro.cli", _cmd_partition=stop, _cmd_plan=stop, _cmd_trace=stop,
+        _cmd_verify=stop,
+    ):
+        main(argv)
+    return captured["args"]
+
+
+def captured_plan_inputs(monkeypatch, argv):
+    """Run one planning command up to ``plan_graph`` and return the
+    graph, cluster and config it would have planned with."""
+    import repro.planner
+    from repro.planner import PartitioningError
+
+    seen = {}
+
+    def fake_plan_graph(graph, cluster, config, context=None):
+        seen.update(graph=graph, cluster=cluster, config=config)
+        raise PartitioningError("stopped before planning")
+
+    monkeypatch.setattr(repro.planner, "plan_graph", fake_plan_graph)
+    assert main(argv) == 1
+    return seen["graph"], seen["cluster"], seen["config"]
+
+
+class TestSharedNormalizer:
+    @pytest.mark.parametrize("command", ["partition", "plan", "trace",
+                                         "verify"])
+    def test_model_choices_are_families_plus_protocol_presets(self, command):
+        from repro.cli import MODEL_CHOICES
+        from repro.service.protocol import MODEL_PRESETS
+
+        assert MODEL_CHOICES == ("bert", "resnet", "gpt") + MODEL_PRESETS
+        assert len(MODEL_CHOICES) == 8
+        extra = ["plan.json"] if command == "verify" else []
+        for model in MODEL_CHOICES:
+            assert parse([command, *extra, "--model", model]).model == model
+
+    def test_each_command_keeps_its_default_model(self):
+        assert parse(["partition"]).model == "bert"
+        assert parse(["plan"]).model == "bert"
+        assert parse(["trace"]).model == "bert-base"
+        assert parse(["verify", "plan.json"]).model == "bert"
+
+    @pytest.mark.parametrize(
+        "model", ["bert", "resnet", "gpt", "bert-base", "bert-large",
+                  "gpt-tiny", "gpt-small", "gpt-medium"],
+    )
+    def test_default_flag_graphs_match_the_legacy_builders(self, model):
+        from repro.partitioner.deployment import graph_fingerprint
+        from repro.service.protocol import MODEL_PRESETS, build_model
+
+        graph = _build_graph(parse(["plan", "--model", model]))
+        assert graph_fingerprint(graph) == graph_fingerprint(
+            legacy_graph(model)
+        )
+        if model in MODEL_PRESETS:
+            preset, _ = build_model({"preset": model})
+            assert graph_fingerprint(graph) == graph_fingerprint(preset)
+
+    @pytest.mark.parametrize(
+        "flags,shape",
+        [
+            (["--model", "bert", "--hidden", "768", "--layers", "6"],
+             dict(hidden=768, layers=6)),
+            (["--model", "gpt", "--hidden", "512", "--layers", "3"],
+             dict(hidden=512, layers=3)),
+            (["--model", "resnet", "--depth", "101", "--width-factor", "2"],
+             dict(depth=101, width_factor=2)),
+        ],
+    )
+    def test_shaped_graphs_match_the_legacy_builders(self, flags, shape):
+        from repro.partitioner.deployment import graph_fingerprint
+
+        graph = _build_graph(parse(["plan", *flags]))
+        assert graph_fingerprint(graph) == graph_fingerprint(
+            legacy_graph(flags[1], **shape)
+        )
+
+    @pytest.mark.parametrize("nodes", [1, 2, 4])
+    def test_nodes_cluster_is_the_paper_cluster(self, monkeypatch, nodes):
+        from repro.hardware import paper_cluster
+
+        _, cluster, _ = captured_plan_inputs(monkeypatch, [
+            "plan", "--hidden", "64", "--layers", "2",
+            "--nodes", str(nodes),
+        ])
+        assert cluster == paper_cluster(num_nodes=nodes)
+
+    @pytest.mark.parametrize("preset,nodes",
+                             [("v100x8", 1), ("v100x16", 2), ("v100x32", 4)])
+    def test_cluster_preset_is_the_paper_cluster(self, monkeypatch, tmp_path,
+                                                 preset, nodes):
+        from repro.hardware import paper_cluster
+
+        _, cluster, _ = captured_plan_inputs(monkeypatch, [
+            "trace", "--model", "bert", "--hidden", "64", "--layers", "2",
+            "--cluster", preset, "--out", str(tmp_path / "t.json"),
+        ])
+        assert cluster == paper_cluster(num_nodes=nodes)
+
+    @pytest.mark.parametrize("v100,a100,straggler",
+                             [(4, 1, 1.0), (2, 2, 1.25), (1, 3, 2.0)])
+    def test_a100_nodes_cluster_is_the_mixed_cluster(self, monkeypatch,
+                                                      v100, a100, straggler):
+        from repro.hardware import mixed_cluster
+
+        _, cluster, _ = captured_plan_inputs(monkeypatch, [
+            "plan", "--hidden", "64", "--layers", "2",
+            "--nodes", str(v100), "--a100-nodes", str(a100),
+            "--straggler", str(straggler),
+        ])
+        assert cluster == mixed_cluster(
+            v100_nodes=v100, a100_nodes=a100, straggler_factor=straggler
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--amp", "--blocks", "16", "--batch-size", "64"],
+            ["--memory-budget-gb", "24", "--cache-budget-mb", "8",
+             "--workers", "2", "--search-backend", "process",
+             "--dp-engine", "rows", "--comm-model", "topology"],
+            ["--a100-nodes", "1", "--straggler", "1.5", "--amp"],
+        ],
+    )
+    def test_plan_config_matches_the_legacy_construction(
+        self, monkeypatch, tmp_path, flags
+    ):
+        from repro.hardware.device import Precision
+        from repro.planner import PlannerConfig
+
+        argv = ["plan", "--hidden", "64", "--layers", "2",
+                "--cache-dir", str(tmp_path), *flags]
+        _, _, config = captured_plan_inputs(monkeypatch, argv)
+        args = parse(argv)
+        legacy = PlannerConfig(
+            batch_size=args.batch_size,
+            precision=Precision.AMP if args.amp else Precision.FP32,
+            num_blocks=args.blocks,
+            cache_dir=args.cache_dir,
+            comm_model=args.comm_model,
+            memory_budget=(
+                args.memory_budget_gb * 2**30
+                if args.memory_budget_gb is not None else None
+            ),
+            cache_budget_bytes=(
+                args.cache_budget_mb * 2**20
+                if args.cache_budget_mb is not None else None
+            ),
+            search_workers=args.workers,
+            search_backend=args.search_backend,
+            dp_engine=args.dp_engine,
+        )
+        assert config == legacy
+        assert config.fingerprint() == legacy.fingerprint()
+
+    def test_trace_and_partition_configs_match(self, monkeypatch, tmp_path):
+        from repro.hardware.device import Precision
+        from repro.planner import PlannerConfig
+
+        model = ["--model", "bert", "--hidden", "64", "--layers", "2"]
+        _, _, traced = captured_plan_inputs(monkeypatch, [
+            "trace", *model, "--amp", "--blocks", "8",
+            "--out", str(tmp_path / "t.json"),
+        ])
+        assert traced == PlannerConfig(
+            batch_size=256, precision=Precision.AMP, num_blocks=8,
+            trace=True,
+        )
+        _, _, partitioned = captured_plan_inputs(monkeypatch, [
+            "partition", *model, "--batch-size", "64", "--blocks", "8",
+        ])
+        assert partitioned == PlannerConfig(batch_size=64, num_blocks=8)
+
+    def test_plan_repair_end_to_end(self, capsys):
+        rc = main([
+            "plan", "--model", "bert", "--hidden", "64", "--layers", "4",
+            "--nodes", "2", "--batch-size", "32",
+            "--repair", "node-loss:1",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "repaired after NodeLoss" in out
+        assert "on 8 surviving devices" in out
+
+    def test_plan_heterogeneous_end_to_end(self, capsys):
+        rc = main([
+            "plan", "--model", "bert", "--hidden", "64", "--layers", "4",
+            "--nodes", "1", "--a100-nodes", "1", "--batch-size", "32",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "on 16 devices" in out
+        assert "PartitionPlan" in out
+
+
+#: every bad input -> the message it must exit 2 with
+BAD_INPUTS = [
+    (["plan", "--nodes", "0"], "invalid cluster spec"),
+    (["partition", "--nodes", "-1"], "invalid cluster spec"),
+    (["plan", "--hidden", "100"], "invalid model spec"),
+    (["trace", "--model", "resnet", "--depth", "7"], "invalid model spec"),
+    (["plan", "--a100-nodes", "1", "--straggler", "-1"],
+     "straggler_factor must be > 0"),
+    (["plan", "--a100-nodes", "1", "--comm-model", "topology"],
+     "only the flat comm model"),
+    (["plan", "--a100-nodes", "-1"], "must be >= 0"),
+    (["plan", "--repair", "node-loss"], "needs KIND:ARG"),
+    (["plan", "--repair", "node-loss:x"], "invalid event spec"),
+    (["plan", "--repair", "reboot:1"], "event needs a 'type'"),
+    (["serve-sim", "--rps", "0"], "rps must be positive"),
+    (["serve-sim", "--duration", "-1"], "duration_s must be positive"),
+    (["serve-sim", "--slo-ms", "-5"], "slo_ms must be positive"),
+    (["serve-sim", "--max-wait-ms", "-1"], "max_wait_s must be >= 0"),
+    (["serve-sim", "--max-replicas", "0"], "max_replicas must be >= 1"),
+    (["schedule", "--stages", "0"], "must be >= 1"),
+    (["schedule", "--microbatches", "0"], "must be >= 1"),
+    (["loss-validation", "--steps", "0"], "must be >= 1"),
+    (["serve", "--port", "-5"], "must be >= 0"),
+    (["serve", "--port", "65536"], "must be <= 65535"),
+    (["serve", "--workers", "0"], "must be >= 1"),
+    (["serve", "--cache-budget-mb", "-1"], "must be >= 0"),
+    (["serve", "--store-budget-mb", "-1"], "must be >= 0"),
+    (["plan", "--cache-budget-mb", "-1"], "must be >= 0"),
+    (["plan", "--workers", "0"], "must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS]
+)
+def test_bad_input_exits_2_with_a_message(capsys, argv, message):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # rejected by argparse
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert message in err
+    assert "Traceback" not in out + err
+
+
+def test_bad_input_exits_2_without_a_traceback_from_the_entry_point():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "plan", "--hidden", "100"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "ERROR: invalid model spec" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -61,3 +61,20 @@ class TestChecker:
         )
         failures, attempts = check_docs.run_doctests(tmp_path, ["two.md"])
         assert (failures, attempts) == (0, 2)
+
+    def test_cli_line_missing_subcommand_detected(self, tmp_path):
+        (tmp_path / "README.md").write_text(
+            "CLI: `python -m repro plan|trace|fig4`.\n"
+        )
+        errors = check_docs.check_cli_line(
+            tmp_path, ["plan", "trace", "serve-sim", "fig4"]
+        )
+        assert errors == ["README.md: CLI line omits subcommand 'serve-sim'"]
+
+    def test_cli_line_absent_detected(self, tmp_path):
+        (tmp_path / "README.md").write_text("no command line here\n")
+        assert len(check_docs.check_cli_line(tmp_path, ["plan"])) == 1
+
+    def test_cli_subcommands_come_from_the_help(self):
+        names = check_docs.cli_subcommands(REPO_ROOT)
+        assert {"plan", "verify", "serve-sim", "schedule"} <= set(names)

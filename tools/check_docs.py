@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks, run by the CI ``docs`` job.
 
-Three checks:
+Four checks:
 
 1. **Intra-repo links** — every relative markdown link in the checked
    files must point at a file (or directory) that exists.  External
@@ -15,6 +15,9 @@ Three checks:
 3. **Config coverage** — every ``PlannerConfig`` field name must appear
    somewhere in the docs corpus, so a new planner knob cannot land
    undocumented.
+4. **CLI line** — every subcommand ``python -m repro --help`` lists must
+   appear in README's one-line CLI summary
+   (``python -m repro plan|trace|...``).
 
 Usage::
 
@@ -26,7 +29,9 @@ from __future__ import annotations
 
 import argparse
 import doctest
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -69,6 +74,7 @@ DOCTEST_DOCS = (
 COVERAGE_DOCS = LINKED_DOCS
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_CLI_LINE_RE = re.compile(r"`python -m repro ((?:[\w-]+\|)+[\w-]+)`")
 _FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
 
@@ -148,6 +154,32 @@ def check_config_coverage(root: Path, rel_paths=COVERAGE_DOCS) -> List[str]:
     return errors
 
 
+def cli_subcommands(root: Path) -> List[str]:
+    """The subcommands ``python -m repro --help`` lists, in order."""
+    help_text = subprocess.run(
+        [sys.executable, "-m", "repro", "--help"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    ).stdout
+    match = re.search(r"\{([\w,-]+)\}", help_text)
+    return match.group(1).split(",") if match else []
+
+
+def check_cli_line(
+    root: Path, subcommands: List[str], rel: str = "README.md"
+) -> List[str]:
+    """One error per subcommand missing from README's CLI line."""
+    match = _CLI_LINE_RE.search((root / rel).read_text())
+    if match is None:
+        return [f"{rel}: no CLI line (`python -m repro a|b|...`)"]
+    listed = set(match.group(1).split("|"))
+    return [
+        f"{rel}: CLI line omits subcommand {name!r}"
+        for name in subcommands
+        if name not in listed
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=REPO_ROOT)
@@ -180,6 +212,17 @@ def main(argv=None) -> int:
             print(f"COVERAGE FAIL  {err}")
     else:
         print("PlannerConfig coverage OK (every field documented)")
+
+    subcommands = cli_subcommands(args.root)
+    cli_errors = check_cli_line(args.root, subcommands)
+    if not subcommands:
+        cli_errors.append("`python -m repro --help` lists no subcommands")
+    if cli_errors:
+        rc = 1
+        for err in cli_errors:
+            print(f"CLI FAIL  {err}")
+    else:
+        print(f"CLI line OK ({len(subcommands)} subcommands listed)")
     return rc
 
 
